@@ -125,7 +125,7 @@ def _cmd_search(args) -> int:
     def progress(done: int, total: int) -> None:
         print(f"chunk {done}/{total}", file=sys.stderr)
 
-    result = search.sweep(job, threads=args.threads, allow_large=args.allow_large, progress=progress)
+    result = search.sweep(job, threads=args.threads, progress=progress)
     print(report.search_result_to_json(result))
     return 0
 
@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"checkpoint file to create or resume (relative paths under ${search.CHECKPOINT_DIR_ENV})",
     )
     p.add_argument("--threads", type=int, default=None, help="worker processes (default: all cores)")
-    p.add_argument("--allow-large", action="store_true", help="enable symmetric sweeps above n=12")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("verify", help="run the claim-verification suite")

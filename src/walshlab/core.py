@@ -103,6 +103,8 @@ class TruthTable:
         text = text.strip().lower()
         if len(text) != digits:
             raise ValueError(f"expected {digits} hex digits for n={n}, got {len(text)}")
+        if not re.fullmatch("[0-9a-f]+", text):
+            raise ValueError(f"truth table {text!r} is not plain hex digits 0-9a-f")
         return cls(n, int(text, 16))
 
     @classmethod

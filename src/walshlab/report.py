@@ -174,10 +174,6 @@ def search_result_canonical(r: search.SearchResult) -> dict:
     return doc
 
 
-def conjecture_to_dict(c: search.ConjectureCheck) -> dict:
-    return {"schema_version": SCHEMA_VERSION, **c.__dict__}
-
-
 # --- Verification suite ---------------------------------------------------------
 
 

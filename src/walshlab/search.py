@@ -9,7 +9,12 @@ The general-family engine never transforms one function at a time: the two
 2^(n-1)-point half spectra A, B of every function are precomputed once, the
 full spectrum is [A+B | A-B], and both the largest squared correlation and
 the weight-weighted spectral sum come from a handful of vectorised passes
-per batch of 2^(2^(n-1)) functions.
+per batch of 2^(2^(n-1)) functions. Symmetric and rotation symmetric
+functions are constant on input orbits (weight classes, necklaces), so their
+spectra are constant on the same orbits: one orbit-class matrix per (family,
+n) turns each function's orbit sign vector into its correlations at the
+orbit representatives, and every metric and filter reads those class columns
+weighted by orbit size.
 
 Aggregation is associative and exact: float metric values only pre-filter
 candidates, and the running maximum is decided on the exact integer key
@@ -22,6 +27,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -39,11 +45,10 @@ FAMILIES = ("general", "symmetric", "rotsym")
 METRICS = ("mei", "ei", "ot1-mei")
 GENERAL_N_MAX = 5
 SYMMETRIC_N_MAX = 16
-SYMMETRIC_N_DEFAULT = 12
 ROTSYM_N_MAX = 7
 
 _FLOAT_TOL = 1e-9
-_BATCH_CELLS = 1 << 22
+_BATCH_CELLS = 1 << 18  # orbit-kernel cells (functions x orbits) per batch
 
 CHECKPOINT_DIR_ENV = "WALSHLAB_CHECKPOINT_DIR"
 _CKPT_MAGIC = b"WLSWEEP1"
@@ -134,7 +139,17 @@ class RotSymFunction:
 _KNOWN_FILTERS = ("balanced", "plateaued", "weight1-max-walsh")
 
 
-def _parse_filters(filters: tuple[str, ...]) -> tuple[bool, bool, bool, int | None]:
+@dataclass(frozen=True)
+class _Filters:
+    """Row filters of a sweep, parsed once from the job's filter strings."""
+
+    balanced: bool = False
+    plateaued: bool = False
+    weight1: bool = False
+    resilient: int | None = None
+
+
+def _parse_filters(filters: tuple[str, ...]) -> _Filters:
     balanced = plateaued = weight1 = False
     resilient: int | None = None
     for f in filters:
@@ -145,12 +160,13 @@ def _parse_filters(filters: tuple[str, ...]) -> tuple[bool, bool, bool, int | No
         elif f == "weight1-max-walsh":
             weight1 = True
         elif f.startswith("resilient:"):
-            resilient = int(f.split(":", 1)[1])
-            if resilient < 0:
-                raise ValueError("resilience order filter must be >= 0")
+            order = f.split(":", 1)[1]
+            if not re.fullmatch("[0-9]+", order):
+                raise ValueError(f"filter {f!r}: the resilience order must be an integer >= 0")
+            resilient = int(order)
         else:
             raise ValueError(f"unknown filter {f!r}; known: {_KNOWN_FILTERS} and resilient:<t>")
-    return balanced, plateaued, weight1, resilient
+    return _Filters(balanced, plateaued, weight1, resilient)
 
 
 @dataclass(frozen=True)
@@ -166,6 +182,7 @@ class SearchJob:
     chunk_bits: int = 6
     witness_cap: int = 16
     checkpoint_path: str | None = None
+    parsed_filters: _Filters = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -180,7 +197,7 @@ class SearchJob:
             raise ValueError("chunk_bits must be in [0, 16]")
         if self.witness_cap < 0:
             raise ValueError("witness cap must be >= 0")
-        _parse_filters(self.filters)
+        object.__setattr__(self, "parsed_filters", _parse_filters(self.filters))
         bound = {"general": GENERAL_N_MAX, "symmetric": SYMMETRIC_N_MAX, "rotsym": ROTSYM_N_MAX}[
             self.family
         ]
@@ -495,40 +512,83 @@ def _general_tables(n: int):
     return cached
 
 
-def _entropy_rows(c2_f: np.ndarray, n: int) -> np.ndarray:
-    """Row entropies from float64 squared correlations (exact ints < 2^53)."""
-    lg = np.log2(np.maximum(c2_f, 1.0))
-    return 2 * n - (c2_f * lg).sum(axis=1) / float(4**n)
+@dataclass(frozen=True)
+class _OrbitKernel:
+    """Walsh spectra of a structured family, one column per input orbit.
+
+    The family's functions are constant on the orbits of a group that also
+    acts on the spectral points, so a spectrum is constant on the same
+    orbits: c(rep_p) = sum over orbits o of (-1)^f(o) * M[o, p].
+    """
+
+    M: np.ndarray  # M[o, p] = sum of (-1)^(x . rep_p) over the x in orbit o
+    sizes: np.ndarray  # points per orbit
+    weights: np.ndarray  # Hamming weight shared by an orbit's points
+
+    def spectra(self, ids: np.ndarray) -> np.ndarray:
+        """Correlations of functions ``ids`` (bit o = value on orbit o) at the representatives."""
+        bits = (ids[:, None] >> np.arange(self.sizes.size)) & 1
+        return (1 - 2 * bits) @ self.M
+
+
+_ORBIT_KERNELS: dict[tuple[str, int], _OrbitKernel] = {}
+
+
+def _orbit_kernel(family: str, n: int) -> _OrbitKernel:
+    cached = _ORBIT_KERNELS.get((family, n))
+    if cached is not None:
+        return cached
+    wt = popcounts(1 << n)
+    if family == "symmetric":
+        reps, orbit = [(1 << w) - 1 for w in range(n + 1)], wt
+    else:
+        reps, orbit = necklaces(n)
+    reps = np.asarray(reps, dtype=np.int64)
+    indicators = (orbit[None, :] == np.arange(reps.size)[:, None]).astype(np.int64)
+    kernel = _OrbitKernel(
+        M=fwht_inplace(indicators)[:, reps],
+        sizes=np.bincount(orbit, minlength=reps.size),
+        weights=wt[reps],
+    )
+    _ORBIT_KERNELS[(family, n)] = kernel
+    return kernel
+
+
+def _entropy_rows(c2: np.ndarray, n: int, sizes: np.ndarray | None = None) -> np.ndarray:
+    """Row entropies from squared correlations (exact in float64 below 2^53).
+
+    With ``sizes``, column p stands for sizes[p] spectral points. Its terms
+    are summed in sorted order, so functions whose class rows are
+    permutations of each other (e.g. under variable reversal) get the same
+    float and tie in the float-decided ``ei`` maximum.
+    """
+    c2_f = c2.astype(np.float64)
+    terms = c2_f * np.log2(np.maximum(c2_f, 1.0))
+    total = terms.sum(axis=1) if sizes is None else np.sort(terms * sizes, axis=1).sum(axis=1)
+    return 2 * n - total / float(4**n)
 
 
 def _filter_rows(
-    c2: np.ndarray,
-    corr0: np.ndarray,
-    m_arr: np.ndarray,
-    wt_cols: np.ndarray,
-    filters: tuple[str, ...],
-    n: int,
+    c2: np.ndarray, corr0: np.ndarray, m_arr: np.ndarray, wt_cols: np.ndarray, spec: _Filters
 ) -> np.ndarray:
-    balanced, plateaued, weight1, resilient = _parse_filters(filters)
+    """Rows passing every filter; column j of ``c2`` holds points of weight wt_cols[j]."""
     mask = np.ones(c2.shape[0], dtype=bool)
-    if balanced:
+    if spec.balanced:
         mask &= corr0 == 0
-    if resilient is not None:
-        cols = np.nonzero(wt_cols <= resilient)[0]
-        mask &= (c2[:, cols] == 0).all(axis=1)
-    if plateaued:
+    if spec.resilient is not None:
+        mask &= (c2[:, wt_cols <= spec.resilient] == 0).all(axis=1)
+    if spec.plateaued:
         mask &= ((c2 == 0) | (c2 == m_arr[:, None])).all(axis=1)
-    if weight1:
-        cols = np.nonzero(wt_cols == 1)[0]
-        mask &= c2[:, cols].max(axis=1) == m_arr
+    if spec.weight1:
+        mask &= c2[:, wt_cols == 1].max(axis=1) == m_arr
     return mask
 
 
-def _metric_values(metric: str, c2, m_arr, inf_arr, n: int) -> np.ndarray:
+def _metric_values(metric: str, c2, m_arr, inf_arr, n: int, sizes=None) -> np.ndarray:
     tot = float(4**n)
     with np.errstate(divide="ignore", invalid="ignore"):
         if metric == "ei":
-            h = _entropy_rows(c2.astype(np.float64), n)
+            h = _entropy_rows(c2, n, sizes)
             val = np.where(inf_arr > 0, h * tot / inf_arr, -np.inf)
         else:
             hinf = 2 * n - np.log2(m_arr.astype(np.float64))
@@ -541,17 +601,17 @@ def _metric_values(metric: str, c2, m_arr, inf_arr, n: int) -> np.ndarray:
 def _eval_general_chunk(job: SearchJob, lo_start: int, lo_stop: int, agg: _Agg) -> None:
     n = job.n
     h, nh, T64, W, wt_half = _general_tables(n)
-    balanced, plateaued, weight1, resilient = _parse_filters(job.filters)
+    spec = job.parsed_filters
     parseval_half = 2 * 4 ** (n - 1)
     wt_cols = np.concatenate([wt_half, wt_half + 1])  # [S | D] column weights
     hi_ids = np.arange(nh, dtype=np.int64) << h
     s_buf = np.empty_like(T64)
     d_buf = np.empty_like(T64)
-    secondary = plateaued or weight1 or resilient is not None
+    secondary = spec.plateaued or spec.weight1 or spec.resilient is not None
     for lo in range(lo_start, lo_stop):
         A = T64[lo]
         corr0 = T64[:, 0] + A[0]
-        if balanced:
+        if spec.balanced:
             sel = np.nonzero(corr0 == 0)[0]
             if sel.size == 0:
                 agg.scanned += nh
@@ -570,16 +630,7 @@ def _eval_general_chunk(job: SearchJob, lo_start: int, lo_stop: int, agg: _Agg) 
         inf_arr = 2 * (W[lo] + w_sel) + (parseval_half - 2 * dot)
         c2 = np.concatenate([s, d], axis=1) if (secondary or job.metric == "ei") else None
         if secondary:
-            mask = np.ones(c2.shape[0], dtype=bool)
-            if resilient is not None:
-                cols = np.nonzero(wt_cols <= resilient)[0]
-                mask &= (c2[:, cols] == 0).all(axis=1)
-            if plateaued:
-                mask &= ((c2 == 0) | (c2 == m_arr[:, None])).all(axis=1)
-            if weight1:
-                cols = np.nonzero(wt_cols == 1)[0]
-                mask &= c2[:, cols].max(axis=1) == m_arr
-            keep = np.nonzero(mask)[0]
+            keep = np.nonzero(_filter_rows(c2, corr0, m_arr, wt_cols, spec))[0]
             if keep.size == 0:
                 agg.scanned += nh
                 continue
@@ -590,47 +641,32 @@ def _eval_general_chunk(job: SearchJob, lo_start: int, lo_stop: int, agg: _Agg) 
         agg.update(ids, m_arr, inf_arr, val, corr0, nh)
 
 
-def _eval_batch_chunk(job: SearchJob, id_start: int, id_stop: int, agg: _Agg) -> None:
-    n = job.n
-    size = 1 << n
-    wt = popcounts(size)
-    if job.family == "symmetric":
-        nbits = n + 1
-        expand_cols = wt
-    else:
-        reps, orbit = necklaces(n)
-        nbits = len(reps)
-        expand_cols = orbit
-    rows_per_batch = max(1, _BATCH_CELLS // size)
-    col_idx = np.arange(nbits, dtype=np.uint64)
+def _eval_orbit_chunk(job: SearchJob, id_start: int, id_stop: int, agg: _Agg) -> None:
+    kernel = _orbit_kernel(job.family, job.n)
+    influence_cols = kernel.sizes * kernel.weights
+    rows_per_batch = max(1, _BATCH_CELLS // kernel.sizes.size)
     for start in range(id_start, id_stop, rows_per_batch):
         stop = min(start + rows_per_batch, id_stop)
         ids = np.arange(start, stop, dtype=np.int64)
-        assign = ((ids[:, None].astype(np.uint64) >> col_idx[None, :]) & 1).astype(np.int32)
-        tts = assign[:, expand_cols]
-        corr = fwht_inplace(1 - 2 * tts)
-        c2 = corr.astype(np.int64)
-        np.multiply(c2, c2, out=c2)
-        corr0 = corr[:, 0].astype(np.int64)
+        corr = kernel.spectra(ids)
+        c2 = corr * corr
+        corr0 = corr[:, 0]
         m_arr = c2.max(axis=1)
-        inf_arr = c2 @ wt
+        inf_arr = c2 @ influence_cols
         if job.filters:
-            mask = _filter_rows(c2, corr0, m_arr, wt, job.filters, n)
-            sel = np.nonzero(mask)[0]
+            sel = np.nonzero(_filter_rows(c2, corr0, m_arr, kernel.weights, job.parsed_filters))[0]
             if sel.size == 0:
                 agg.scanned += int(ids.size)
                 continue
             c2, corr0, m_arr, inf_arr, ids = c2[sel], corr0[sel], m_arr[sel], inf_arr[sel], ids[sel]
-        val = _metric_values(job.metric, c2, m_arr, inf_arr, n)
+        val = _metric_values(job.metric, c2, m_arr, inf_arr, job.n, kernel.sizes)
         agg.update(ids, m_arr, inf_arr, val, corr0, int(stop - start))
 
 
 def _unit_count(job: SearchJob) -> int:
     if job.family == "general":
         return 1 << (1 << (job.n - 1))  # number of half tables
-    if job.family == "symmetric":
-        return 1 << (job.n + 1)
-    return 1 << len(necklaces(job.n)[0])
+    return 1 << _orbit_kernel(job.family, job.n).sizes.size
 
 
 def _chunk_ranges(job: SearchJob) -> list[tuple[int, int]]:
@@ -646,7 +682,7 @@ def _run_chunk(job: SearchJob, chunk_idx: int) -> _Agg:
     if job.family == "general":
         _eval_general_chunk(job, start, stop, agg)
     else:
-        _eval_batch_chunk(job, start, stop, agg)
+        _eval_orbit_chunk(job, start, stop, agg)
     return agg
 
 
@@ -764,19 +800,14 @@ def _finalize(job: SearchJob, chunks: dict[int, _Agg], elapsed: float, resumed: 
 def sweep(
     job: SearchJob,
     threads: int | None = None,
-    allow_large: bool = False,
     progress: Callable[[int, int], None] | None = None,
 ) -> SearchResult:
     """Run a sweep, optionally in parallel and resumably.
 
     The outcome is a pure function of the job: worker count, chunk layout,
-    and resume points cannot change it. Symmetric sweeps above n=12 must be
-    enabled with ``allow_large``.
+    and resume points cannot change it. Every arity within the family's
+    bound (see :class:`SearchJob`) is accepted.
     """
-    if job.family == "symmetric" and job.n > SYMMETRIC_N_DEFAULT and not allow_large:
-        raise SweepBoundError(
-            f"symmetric sweeps above n={SYMMETRIC_N_DEFAULT} are opt-in (allow_large=True)"
-        )
     t0 = time.perf_counter()
     ranges = _chunk_ranges(job)
     done: dict[int, _Agg] = {}
@@ -820,11 +851,9 @@ def sweep(
     return _finalize(job, done, time.perf_counter() - t0, resumed)
 
 
-def sweep_symmetric(
-    n: int, metric: str = "ei", threads: int | None = None, allow_large: bool = False
-) -> SearchResult:
+def sweep_symmetric(n: int, metric: str = "ei", threads: int | None = None) -> SearchResult:
     """Scan all 2^(n+1) symmetric functions on n variables."""
-    return sweep(SearchJob("symmetric", n, metric), threads=threads, allow_large=allow_large)
+    return sweep(SearchJob("symmetric", n, metric), threads=threads)
 
 
 def sweep_rotsym(n: int, metric: str = "ei", threads: int | None = None) -> SearchResult:
@@ -852,51 +881,17 @@ class ConjectureCheck:
     counterexample: str | None
 
 
-def _symmetric_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-function (H, infnum, max c^2, corr0, bent) over all symmetric functions."""
-    size = 1 << n
-    wt = popcounts(size)
-    nfuncs = 1 << (n + 1)
-    rows_per_batch = max(1, _BATCH_CELLS // size)
-    H = np.empty(nfuncs)
-    infnum = np.empty(nfuncs, dtype=np.int64)
-    m_arr = np.empty(nfuncs, dtype=np.int64)
-    corr0 = np.empty(nfuncs, dtype=np.int64)
-    bent = np.empty(nfuncs, dtype=bool)
-    cols = np.arange(n + 1, dtype=np.uint64)
-    for start in range(0, nfuncs, rows_per_batch):
-        stop = min(start + rows_per_batch, nfuncs)
-        ids = np.arange(start, stop, dtype=np.uint64)
-        assign = ((ids[:, None] >> cols[None, :]) & 1).astype(np.int32)
-        corr = fwht_inplace(1 - 2 * assign[:, wt])
-        c2 = corr.astype(np.int64)
-        np.multiply(c2, c2, out=c2)
-        sl = slice(start, stop)
-        H[sl] = _entropy_rows(c2.astype(np.float64), n)
-        infnum[sl] = c2 @ wt
-        m_arr[sl] = c2.max(axis=1)
-        corr0[sl] = corr[:, 0]
-        bent[sl] = (c2 == size).all(axis=1)
-    return H, infnum, m_arr, corr0, bent
-
-
-def _sym_c2(n: int, value_vector: int) -> np.ndarray:
-    s = SymmetricFunction(n, value_vector).expand()
-    corr = fwht_inplace(s.signs().astype(np.int64))
-    return corr * corr
-
-
-def _mp_ei(c2: np.ndarray, infnum: int, n: int) -> mpmath.mpf:
+def _mp_ei(c2: np.ndarray, sizes: np.ndarray, infnum: int, n: int) -> mpmath.mpf:
     tot = mpmath.mpf(4) ** n
     h = mpmath.mpf(0)
-    for v in np.unique(c2[c2 > 0]):
-        count = int(np.count_nonzero(c2 == v))
-        h += count * mpmath.mpf(int(v)) * mpmath.log(int(v), 2)
+    for v, count in zip(c2.tolist(), sizes.tolist()):
+        if v:
+            h += count * mpmath.mpf(v) * mpmath.log(v, 2)
     h = 2 * n - h / tot
     return h * tot / infnum
 
 
-def check_conjecture(ns: Iterable[int], allow_large: bool = False) -> list[ConjectureCheck]:
+def check_conjecture(ns: Iterable[int]) -> list[ConjectureCheck]:
     """Exhaustively test both symmetric-function ratio claims for each arity.
 
     Claim 1: the all-variable conjunction maximises the entropy/influence
@@ -910,10 +905,6 @@ def check_conjecture(ns: Iterable[int], allow_large: bool = False) -> list[Conje
     for n in ns:
         if not 1 <= n <= SYMMETRIC_N_MAX:
             raise SweepBoundError(f"symmetric checks support 1 <= n <= {SYMMETRIC_N_MAX}")
-        if n > SYMMETRIC_N_DEFAULT and not allow_large:
-            raise SweepBoundError(
-                f"symmetric checks above n={SYMMETRIC_N_DEFAULT} are opt-in (allow_large=True)"
-            )
         out.append(_check_one(n))
     return out
 
@@ -921,12 +912,18 @@ def check_conjecture(ns: Iterable[int], allow_large: bool = False) -> list[Conje
 def _check_one(n: int) -> ConjectureCheck:
     size = 1 << n
     tot = float(4**n)
-    H, infnum, m_arr, corr0, bent = _symmetric_rows(n)
+    kernel = _orbit_kernel("symmetric", n)
+    corr = kernel.spectra(np.arange(1 << (n + 1)))
+    c2_rows = corr * corr
+    H = _entropy_rows(c2_rows, n, kernel.sizes)
+    infnum = c2_rows @ (kernel.sizes * kernel.weights)
+    m_arr = c2_rows.max(axis=1)
+    bent = (c2_rows == size).all(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ei = np.where(infnum > 0, H * tot / infnum, -np.inf)
         mei = np.where(infnum > 0, (2 * n - np.log2(m_arr.astype(float))) * tot / infnum, -np.inf)
     and_id = and_function(n).value_vector
-    and_c2 = _sym_c2(n, and_id)
+    and_c2 = c2_rows[and_id]
     and_ei = float(ei[and_id])
     and_below_4 = and_ei < 4.0 - 1e-9
     counterexample = None
@@ -936,13 +933,13 @@ def _check_one(n: int) -> ConjectureCheck:
     achievers = 0
     all_conjugate = True
     with mpmath.workdps(60):
-        and_mp = _mp_ei(and_c2, int(infnum[and_id]), n)
+        and_mp = _mp_ei(and_c2, kernel.sizes, int(infnum[and_id]), n)
         for vid in cand:
-            c2 = _sym_c2(n, int(vid))
+            c2 = c2_rows[vid]
             if np.array_equal(c2, and_c2):
                 achievers += 1
                 continue
-            other = _mp_ei(c2, int(infnum[vid]), n)
+            other = _mp_ei(c2, kernel.sizes, int(infnum[vid]), n)
             if other >= and_mp - mpmath.mpf(10) ** -40:
                 all_conjugate = False
                 counterexample = SymmetricFunction(n, int(vid)).expand().to_hex()

@@ -135,10 +135,23 @@ def test_search_bound_error(capsys):
     assert "1 <= n <= 5" in err
 
 
-def test_search_symmetric_needs_opt_in(capsys):
-    code, _, err = run_cli(capsys, "search", "symmetric", "--n", "13", "--metric", "mei")
+def test_search_symmetric_bound(capsys):
+    code, out, _ = run_cli(
+        capsys, "search", "symmetric", "--n", "16", "--metric", "mei", "--threads", "1"
+    )
+    assert code == 0
+    assert json.loads(out)["best_ratio"] == "2"
+    code, _, err = run_cli(capsys, "search", "symmetric", "--n", "17", "--metric", "mei")
     assert code == 2
-    assert "opt-in" in err
+    assert "1 <= n <= 16" in err
+
+
+def test_search_bad_resilience_order(capsys):
+    code, _, err = run_cli(
+        capsys, "search", "general", "--n", "3", "--filter", "resilient:x", "--threads", "1"
+    )
+    assert code == 2
+    assert "resilient:" in err
 
 
 def test_unknown_scope_is_usage_error(capsys):

@@ -46,6 +46,9 @@ def test_hex_digit_counts():
     assert len(TruthTable(5, 0).to_hex()) == 8
     with pytest.raises(ValueError):
         TruthTable.from_hex("123", 5)
+    for text in ("1_23", "+abc", "-000"):  # int(text, 16) would accept these
+        with pytest.raises(ValueError):
+            TruthTable.from_hex(text, 4)
 
 
 def test_table_basics():

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from walshlab.core import TruthTable, walsh_transform
+from walshlab.core import TruthTable, popcounts, walsh_transform
 from walshlab.metrics import classify
 from walshlab.report import search_result_canonical
 from walshlab.search import (
@@ -12,6 +13,7 @@ from walshlab.search import (
     SearchJob,
     SweepBoundError,
     SymmetricFunction,
+    _orbit_kernel,
     and_function,
     check_conjecture,
     necklaces,
@@ -87,6 +89,23 @@ def test_every_one_var_function_is_rotsym():
     assert tables == {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize(
+    "family,ns", [("symmetric", range(1, 13)), ("rotsym", range(1, 8))]
+)
+def test_orbit_spectra_match_fwht(family, ns):
+    # class rows spread over the orbit map are the dense spectrum of expand()
+    for n in ns:
+        kernel = _orbit_kernel(family, n)
+        count = 1 << kernel.sizes.size
+        ids = np.unique(np.linspace(0, count - 1, num=min(count, 40)).astype(np.int64))
+        corr = kernel.spectra(ids)
+        orbit = popcounts(1 << n) if family == "symmetric" else necklaces(n)[1]
+        cls = SymmetricFunction if family == "symmetric" else RotSymFunction
+        for row, vid in zip(corr, ids.tolist()):
+            dense = walsh_transform(cls(n, vid).expand()).corr
+            assert np.array_equal(row[orbit], dense), (family, n, vid)
+
+
 # --- job validation ---------------------------------------------------------------
 
 
@@ -104,7 +123,8 @@ def test_job_validation():
     with pytest.raises(ValueError):
         SearchJob("general", 3, filters=("shiny",))
     with pytest.raises(SweepBoundError):
-        sweep_symmetric(13, "mei")  # opt-in above 12
+        sweep_symmetric(17, "mei")
+    assert sweep_symmetric(16, "mei", threads=1).best_ratio.rational == 2
 
 
 def test_job_digest_changes_with_fields():
@@ -353,6 +373,14 @@ def test_check_conjecture_small():
 
 def test_check_conjecture_bounds():
     with pytest.raises(SweepBoundError):
-        check_conjecture([13])
+        check_conjecture([17])
     with pytest.raises(SweepBoundError):
         check_conjecture([0])
+
+
+def test_check_conjecture_above_published_range():
+    checks = check_conjecture(range(13, 17))
+    assert [c.n for c in checks] == [13, 14, 15, 16]
+    for c in checks:
+        assert c.passed and c.counterexample is None
+        assert c.ei_achievers == 4

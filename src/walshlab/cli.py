@@ -103,6 +103,16 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return count
+
+
 def _parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
@@ -190,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=f"checkpoint file to create or resume (relative paths under ${search.CHECKPOINT_DIR_ENV})",
     )
-    p.add_argument("--threads", type=int, default=None, help="worker processes (default: all cores)")
+    p.add_argument("--threads", type=_worker_count, default=None, help="worker processes (default: all cores)")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("verify", help="run the claim-verification suite")
     p.add_argument("--scope", choices=("fast", "full"), default="fast")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_worker_count, default=None, help="worker processes (default: all cores)")
     p.add_argument("--claims", help="comma-separated claim ids to restrict to")
     p.set_defaults(fn=_cmd_verify)
     return parser

@@ -545,6 +545,7 @@ def run_verification_suite(
     """
     if scope not in ("fast", "full"):
         raise ValueError("scope must be 'fast' or 'full'")
+    search.check_threads(threads)
     ctx = _Ctx(threads)
     wanted = set(claim_ids) if claim_ids is not None else None
     entries = []

@@ -9,7 +9,14 @@ The general-family engine never transforms one function at a time: the two
 2^(n-1)-point half spectra A, B of every function are precomputed once, the
 full spectrum is [A+B | A-B], and both the largest squared correlation and
 the weight-weighted spectral sum come from a handful of vectorised passes
-per batch of 2^(2^(n-1)) functions. Symmetric and rotation symmetric
+per batch of 2^(2^(n-1)) functions sharing one low half. The 2^n maps that
+translate X1..X_{n-1} and optionally complement the output act on both half
+tables at once and keep every entry of [A+B | A-B]^2 (corr0 only changes
+sign), so every metric, filter and balancedness is constant on their orbits:
+the sweep visits one low half per orbit (the smallest; 2288 of 65536 at n=5)
+against every high half, weights each row by the orbit size, and maps the
+achieving functions through the group so the witnesses are still the
+smallest ids overall. Symmetric and rotation symmetric
 functions are constant on input orbits (weight classes, necklaces), so their
 spectra are constant on the same orbits: one orbit-class matrix per (family,
 n) turns each function's orbit sign vector into its correlations at the
@@ -52,7 +59,7 @@ _BATCH_CELLS = 1 << 18  # orbit-kernel cells (functions x orbits) per batch
 
 CHECKPOINT_DIR_ENV = "WALSHLAB_CHECKPOINT_DIR"
 _CKPT_MAGIC = b"WLSWEEP1"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2  # 2: general-family chunk ids index low-half orbit representatives
 _CKPT_HEADER = struct.Struct("<8sIIII16s")
 
 
@@ -197,7 +204,14 @@ class SearchJob:
             raise ValueError("chunk_bits must be in [0, 16]")
         if self.witness_cap < 0:
             raise ValueError("witness cap must be >= 0")
-        object.__setattr__(self, "parsed_filters", _parse_filters(self.filters))
+        parsed = _parse_filters(self.filters)
+        missing = sorted({"balanced", "weight1-max-walsh"}.difference(self.filters))
+        if self.metric == "ot1-mei" and missing:
+            raise ValueError(
+                "metric 'ot1-mei' is defined only on balanced seeds whose largest squared "
+                f"correlation sits on a weight-1 point; add the filter(s) {', '.join(missing)}"
+            )
+        object.__setattr__(self, "parsed_filters", parsed)
         bound = {"general": GENERAL_N_MAX, "symmetric": SYMMETRIC_N_MAX, "rotsym": ROTSYM_N_MAX}[
             self.family
         ]
@@ -357,9 +371,9 @@ class _Agg:
     balanced: int = 0
     witnesses: list[int] = field(default_factory=list)
 
-    def _add_witnesses(self, ids: Iterable[int]) -> None:
-        merged = sorted(set(self.witnesses).union(ids))
-        self.witnesses = merged[: self.cap]
+    def _add_witnesses(self, ids: np.ndarray | list[int]) -> None:
+        fresh = np.unique(np.asarray(ids, dtype=np.int64))[: self.cap].tolist()
+        self.witnesses = sorted(set(self.witnesses).union(fresh))[: self.cap]
 
     def update(
         self,
@@ -369,49 +383,62 @@ class _Agg:
         val: np.ndarray,
         corr0: np.ndarray,
         scanned: int,
+        size: int = 1,
+        orbit_ids: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
+        """Fold in one batch of rows.
+
+        Each row stands for ``size`` functions with the same metric values
+        and the same balancedness; ``orbit_ids`` maps achieving ids to all of
+        those functions, so the witnesses stay the smallest ids overall.
+        """
         self.scanned += scanned
         if ids.size == 0:
             return
         if self.target == "count":
-            self._update_count(ids, m_arr, inf_arr, val, corr0)
+            rows = self._count_rows(m_arr, inf_arr, val)
         else:
-            self._update_max(ids, m_arr, inf_arr, val, corr0)
-
-    def _update_count(self, ids, m_arr, inf_arr, val, corr0) -> None:
-        thr_f = float(self.threshold)
-        cand = np.nonzero(np.abs(val - thr_f) <= _FLOAT_TOL)[0]
-        if cand.size == 0:
+            rows = self._max_rows(m_arr, inf_arr, val)
+        if rows is None or rows.size == 0:
             return
-        if self.metric == "ei":
-            hit = cand  # float tolerance decides; entropy sums admit no exact test
-        else:
-            keys = {}
-            for r in cand:
-                keys.setdefault((int(m_arr[r]), int(inf_arr[r])), []).append(r)
-            hit = [
+        self.count += size * int(rows.size)
+        self.balanced += size * int(np.count_nonzero(corr0[rows] == 0))
+        if self.cap:
+            hit = ids[rows]
+            self._add_witnesses(hit if orbit_ids is None else orbit_ids(hit))
+
+    def _count_rows(self, m_arr, inf_arr, val) -> np.ndarray:
+        cand = np.nonzero(np.abs(val - float(self.threshold)) <= _FLOAT_TOL)[0]
+        if self.metric == "ei" or cand.size == 0:
+            return cand  # ei: float tolerance decides; entropy sums admit no exact test
+        keys: dict[tuple[int, int], list[int]] = {}
+        for r in cand:
+            keys.setdefault((int(m_arr[r]), int(inf_arr[r])), []).append(r)
+        return np.asarray(
+            [
                 r
                 for key, rows in keys.items()
                 if _key_equals_threshold(self.metric, key, self.n, self.threshold)
                 for r in rows
-            ]
-        if len(hit):
-            hit = np.asarray(hit, dtype=np.int64)
-            self.count += int(hit.size)
-            self.balanced += int(np.count_nonzero(corr0[hit] == 0))
-            self._add_witnesses(int(ids[r]) for r in hit)
+            ],
+            dtype=np.int64,
+        )
 
-    def _update_max(self, ids, m_arr, inf_arr, val, corr0) -> None:
+    def _max_rows(self, m_arr, inf_arr, val) -> np.ndarray | None:
+        """Rows at the running maximum after this batch (resetting it when beaten)."""
         mx = float(val.max())
         if not math.isfinite(mx):
-            return  # only ratio-less (constant) functions in this batch
+            return None  # only ratio-less (constant) functions in this batch
         thresh = max(mx, self.best_float) - _FLOAT_TOL
         cand = np.nonzero(val >= thresh)[0]
         if cand.size == 0:
-            return
+            return None
         if self.metric == "ei":
-            self._update_max_float(ids, val, corr0, cand, mx)
-            return
+            if mx < self.best_float:
+                return None
+            if mx > self.best_float:
+                self._reset(None, mx)
+            return cand[val[cand] == self.best_float]
         groups: dict[tuple[int, int], list[int]] = {}
         for r in cand:
             groups.setdefault((int(m_arr[r]), int(inf_arr[r])), []).append(r)
@@ -422,37 +449,22 @@ class _Agg:
         if self.best_key is not None:
             rel = _cmp_keys(self.metric, top_key, self.best_key, self.n)
             if rel < 0:
-                return
+                return None
             fresh = rel > 0
         else:
             fresh = True
         if fresh:
-            self.best_key = top_key
-            self.best_float = _key_value(self.metric, top_key, self.n).value
-            self.count = 0
-            self.balanced = 0
-            self.witnesses = []
+            self._reset(top_key, _key_value(self.metric, top_key, self.n).value)
         rows: list[int] = []
         for key, members in groups.items():
             if _cmp_keys(self.metric, key, self.best_key, self.n) == 0:
                 rows.extend(members)
-        rows = np.asarray(rows, dtype=np.int64)
-        self.count += int(rows.size)
-        self.balanced += int(np.count_nonzero(corr0[rows] == 0))
-        self._add_witnesses(int(ids[r]) for r in rows)
+        return np.asarray(rows, dtype=np.int64)
 
-    def _update_max_float(self, ids, val, corr0, cand, mx) -> None:
-        if mx < self.best_float:
-            return
-        if mx > self.best_float:
-            self.best_float = mx
-            self.count = 0
-            self.balanced = 0
-            self.witnesses = []
-        rows = cand[val[cand] == self.best_float]
-        self.count += int(rows.size)
-        self.balanced += int(np.count_nonzero(corr0[rows] == 0))
-        self._add_witnesses(int(ids[r]) for r in rows)
+    def _reset(self, best_key: tuple[int, int] | None, best_float: float) -> None:
+        self.best_key = best_key
+        self.best_float = best_float
+        self.count, self.balanced, self.witnesses = 0, 0, []
 
     def merge(self, other: "_Agg") -> None:
         self.scanned += other.scanned
@@ -492,22 +504,60 @@ class _Agg:
 
 # --- Evaluation kernels -----------------------------------------------------------
 
-_GENERAL_TABLES: dict[int, tuple] = {}
+@dataclass(frozen=True)
+class _HalfTables:
+    """Half-table spectra of the general family and the symmetry group on halves.
+
+    A function on n variables is a pair of half tables (low: X_n = 0, high:
+    X_n = 1) on 2^(n-1) points. The group of the 2^(n-1) translations of
+    X1..X_{n-1} times output complement acts on both halves at once and
+    leaves every squared correlation in place, so one low half per orbit,
+    weighted by the orbit size, stands for all of them.
+    """
+
+    h: int  # points per half table
+    nh: int  # number of half tables
+    T: np.ndarray  # T[x] = correlations of half table x
+    W: np.ndarray  # W[x] = sum over a of weight(a) * T[x, a]^2
+    wt_half: np.ndarray  # Hamming weight of each half-table point
+    images: np.ndarray  # images[g, x] = half table x under group element g
+    reps: np.ndarray  # the smallest half table of each orbit, ascending
+    sizes: np.ndarray  # orbit size of each representative
+
+    def orbit_ids(self, ids: np.ndarray) -> np.ndarray:
+        """Every function in the orbits of ``ids``, with repeats."""
+        hi, lo = ids >> self.h, ids & (self.nh - 1)
+        return (self.images[:, hi] << self.h) | self.images[:, lo]
 
 
-def _general_tables(n: int):
+_GENERAL_TABLES: dict[int, _HalfTables] = {}
+
+
+def _general_tables(n: int) -> _HalfTables:
     cached = _GENERAL_TABLES.get(n)
     if cached is not None:
         return cached
     h = 1 << (n - 1)
     nh = 1 << h
-    idx = np.arange(nh, dtype=np.uint32)
-    bits = ((idx[:, None] >> np.arange(h, dtype=np.uint32)[None, :]) & 1).astype(np.int32)
+    idx = np.arange(nh, dtype=np.int64)
+    points = np.arange(h, dtype=np.int64)
+    bits = (idx[:, None] >> points) & 1
     T = fwht_inplace(1 - 2 * bits)
-    T64 = T.astype(np.int64)
     wt_half = popcounts(h)
-    W = (T64 * T64) @ wt_half
-    cached = (h, nh, T64, W, wt_half)
+    translated = np.stack([(bits[:, points ^ t] << points).sum(axis=1) for t in range(h)])
+    images = np.concatenate([translated, translated ^ (nh - 1)])
+    reps = np.nonzero(images.min(axis=0) == idx)[0]
+    stabiliser = (images[:, reps] == reps).sum(axis=0)
+    cached = _HalfTables(
+        h=h,
+        nh=nh,
+        T=T,
+        W=(T * T) @ wt_half,
+        wt_half=wt_half,
+        images=images,
+        reps=reps,
+        sizes=images.shape[0] // stabiliser,
+    )
     _GENERAL_TABLES[n] = cached
     return cached
 
@@ -598,29 +648,32 @@ def _metric_values(metric: str, c2, m_arr, inf_arr, n: int, sizes=None) -> np.nd
     return val
 
 
-def _eval_general_chunk(job: SearchJob, lo_start: int, lo_stop: int, agg: _Agg) -> None:
+def _eval_general_chunk(job: SearchJob, rep_start: int, rep_stop: int, agg: _Agg) -> None:
+    """Scan representatives rep_start..rep_stop-1 of the low half against every high half."""
     n = job.n
-    h, nh, T64, W, wt_half = _general_tables(n)
+    tab = _general_tables(n)
+    T, W, nh = tab.T, tab.W, tab.nh
     spec = job.parsed_filters
     parseval_half = 2 * 4 ** (n - 1)
-    wt_cols = np.concatenate([wt_half, wt_half + 1])  # [S | D] column weights
-    hi_ids = np.arange(nh, dtype=np.int64) << h
-    s_buf = np.empty_like(T64)
-    d_buf = np.empty_like(T64)
+    wt_cols = np.concatenate([tab.wt_half, tab.wt_half + 1])  # [S | D] column weights
+    hi_ids = np.arange(nh, dtype=np.int64) << tab.h
+    s_buf = np.empty_like(T)
+    d_buf = np.empty_like(T)
     secondary = spec.plateaued or spec.weight1 or spec.resilient is not None
-    for lo in range(lo_start, lo_stop):
-        A = T64[lo]
-        corr0 = T64[:, 0] + A[0]
+    reps, sizes = tab.reps[rep_start:rep_stop].tolist(), tab.sizes[rep_start:rep_stop].tolist()
+    for lo, size in zip(reps, sizes):
+        A = T[lo]
+        corr0 = T[:, 0] + A[0]
         if spec.balanced:
             sel = np.nonzero(corr0 == 0)[0]
             if sel.size == 0:
-                agg.scanned += nh
+                agg.scanned += nh * size
                 continue
-            t_sel, corr0, w_sel, ids = T64[sel], corr0[sel], W[sel], hi_ids[sel] | lo
+            t_sel, corr0, w_sel, ids = T[sel], corr0[sel], W[sel], hi_ids[sel] | lo
             s = np.add(t_sel, A)
             d = np.subtract(A, t_sel)
         else:
-            t_sel, w_sel, ids = T64, W, hi_ids | lo
+            t_sel, w_sel, ids = T, W, hi_ids | lo
             s = np.add(t_sel, A, out=s_buf)
             d = np.subtract(A, t_sel, out=d_buf)
         dot = t_sel @ A
@@ -632,13 +685,13 @@ def _eval_general_chunk(job: SearchJob, lo_start: int, lo_stop: int, agg: _Agg) 
         if secondary:
             keep = np.nonzero(_filter_rows(c2, corr0, m_arr, wt_cols, spec))[0]
             if keep.size == 0:
-                agg.scanned += nh
+                agg.scanned += nh * size
                 continue
             c2, corr0, m_arr, inf_arr, ids = (
                 c2[keep], corr0[keep], m_arr[keep], inf_arr[keep], ids[keep],
             )
         val = _metric_values(job.metric, c2, m_arr, inf_arr, n)
-        agg.update(ids, m_arr, inf_arr, val, corr0, nh)
+        agg.update(ids, m_arr, inf_arr, val, corr0, nh * size, size, tab.orbit_ids)
 
 
 def _eval_orbit_chunk(job: SearchJob, id_start: int, id_stop: int, agg: _Agg) -> None:
@@ -665,7 +718,7 @@ def _eval_orbit_chunk(job: SearchJob, id_start: int, id_stop: int, agg: _Agg) ->
 
 def _unit_count(job: SearchJob) -> int:
     if job.family == "general":
-        return 1 << (1 << (job.n - 1))  # number of half tables
+        return int(_general_tables(job.n).reps.size)
     return 1 << _orbit_kernel(job.family, job.n).sizes.size
 
 
@@ -739,8 +792,12 @@ def _load_checkpoint(path: str, job: SearchJob) -> dict[int, _Agg]:
         if len(header) != _CKPT_HEADER.size:
             raise CheckpointError(f"{path}: truncated header")
         magic, version, cap, rec_size, _, digest = _CKPT_HEADER.unpack(header)
-        if magic != _CKPT_MAGIC or version != _CKPT_VERSION:
-            raise CheckpointError(f"{path}: not a sweep checkpoint (magic/version mismatch)")
+        if magic != _CKPT_MAGIC:
+            raise CheckpointError(f"{path}: not a sweep checkpoint (bad magic)")
+        if version != _CKPT_VERSION:
+            raise CheckpointError(
+                f"{path}: checkpoint format version {version}, this build reads version {_CKPT_VERSION}"
+            )
         if cap != job.witness_cap or rec_size != rec.size:
             raise CheckpointError(f"{path}: record layout does not match the job")
         if digest != job.digest():
@@ -797,6 +854,12 @@ def _finalize(job: SearchJob, chunks: dict[int, _Agg], elapsed: float, resumed: 
     )
 
 
+def check_threads(threads: int | None) -> None:
+    """Reject a worker count below 1; ``None`` means one worker per core."""
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1 (or None for every core), got {threads}")
+
+
 def sweep(
     job: SearchJob,
     threads: int | None = None,
@@ -806,8 +869,15 @@ def sweep(
 
     The outcome is a pure function of the job: worker count, chunk layout,
     and resume points cannot change it. Every arity within the family's
-    bound (see :class:`SearchJob`) is accepted.
+    bound (see :class:`SearchJob`) is accepted. General-family work units
+    are the orbit representatives of the low half: each one is scanned
+    against every high half, and its rows count once per member of its
+    orbit in ``functions_scanned``, ``witness_total`` and
+    ``balanced_at_best``; witnesses are the smallest ids over the whole
+    orbits. ``threads`` is the worker count (>= 1; ``None`` means one per
+    core).
     """
+    check_threads(threads)
     t0 = time.perf_counter()
     ranges = _chunk_ranges(job)
     done: dict[int, _Agg] = {}
@@ -826,7 +896,7 @@ def sweep(
     try:
         if threads is None:
             threads = os.cpu_count() or 1
-        if threads <= 1 or len(pending) <= 1:
+        if threads == 1 or len(pending) <= 1:
             for i in pending:
                 done[i] = _run_chunk(job, i)
                 if ckpt_fh is not None:

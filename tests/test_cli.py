@@ -154,6 +154,26 @@ def test_search_bad_resilience_order(capsys):
     assert "resilient:" in err
 
 
+@pytest.mark.parametrize(
+    "command", [["search", "general", "--n", "3"], ["verify", "--claims", "c23-general-n3-vs-naive"]]
+)
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_must_be_positive(capsys, command, threads):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_search_ot1_mei_needs_its_filters(capsys):
+    code, out, err = run_cli(
+        capsys, "search", "general", "--n", "3", "--metric", "ot1-mei", "--filter", "balanced",
+        "--threads", "1",
+    )
+    assert code == 2 and out == ""
+    assert "weight1-max-walsh" in err
+
+
 def test_unknown_scope_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--scope", "medium"])

@@ -3,16 +3,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from walshlab.core import TruthTable, popcounts, walsh_transform
+from walshlab.core import TruthTable, fwht_inplace, popcounts, walsh_transform
 from walshlab.metrics import classify
-from walshlab.report import search_result_canonical
+from walshlab.report import run_verification_suite, search_result_canonical
 from walshlab.search import (
+    _CKPT_HEADER,
     CheckpointError,
     ConjectureCheck,
     RotSymFunction,
     SearchJob,
     SweepBoundError,
     SymmetricFunction,
+    _general_tables,
     _orbit_kernel,
     and_function,
     check_conjecture,
@@ -106,6 +108,23 @@ def test_orbit_spectra_match_fwht(family, ns):
             assert np.array_equal(row[orbit], dense), (family, n, vid)
 
 
+def test_low_half_orbit_representatives():
+    for n, expected in zip(range(1, 6), (1, 2, 5, 30, 2288)):
+        tab = _general_tables(n)
+        assert tab.reps.size == expected
+        assert int(tab.sizes.sum()) == tab.nh == 1 << (1 << (n - 1))
+        orbits = tab.images[:, tab.reps]  # one column per orbit
+        assert np.array_equal(orbits.min(axis=0), tab.reps)
+        assert [np.unique(col).size for col in orbits.T] == tab.sizes.tolist()
+        # element (t, b) negates the spectrum of every half by (-1)^(b + a.t), so
+        # acting on both halves at once it keeps each squared correlation of [A+B | A-B]
+        points, weight = np.arange(tab.h), popcounts(tab.h)
+        for g in range(tab.images.shape[0]):
+            t, b = g % tab.h, g // tab.h
+            sign = (-1) ** b * (1 - 2 * (weight[points & t] & 1))
+            assert np.array_equal(tab.T[tab.images[g]], sign * tab.T), (n, g)
+
+
 # --- job validation ---------------------------------------------------------------
 
 
@@ -125,6 +144,24 @@ def test_job_validation():
     with pytest.raises(SweepBoundError):
         sweep_symmetric(17, "mei")
     assert sweep_symmetric(16, "mei", threads=1).best_ratio.rational == 2
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_must_be_positive(threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        sweep(SearchJob("general", 3), threads=threads)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_verification_suite("fast", threads=threads, claim_ids=["c23-general-n3-vs-naive"])
+
+
+@pytest.mark.parametrize(
+    "filters, missing",
+    [((), "balanced, weight1-max-walsh"), (("balanced",), "weight1-max-walsh"),
+     (("weight1-max-walsh", "plateaued"), "balanced")],
+)
+def test_ot1_mei_needs_its_filters(filters, missing):
+    with pytest.raises(ValueError, match=rf"add the filter\(s\) {missing}$"):
+        SearchJob("general", 3, metric="ot1-mei", filters=filters)
 
 
 def test_job_digest_changes_with_fields():
@@ -228,6 +265,31 @@ def test_ot1_metric_count():
     assert r.count_achieving == 4
 
 
+def dense_mei_achievers(n: int, balanced: bool):
+    """Exact maximum and every achiever of mei over all n-variable functions, by dense FWHT."""
+    ids = np.arange(1 << (1 << n), dtype=np.int64)
+    corr = fwht_inplace(1 - 2 * ((ids[:, None] >> np.arange(1 << n)) & 1))
+    c2 = corr * corr
+    m, inf = c2.max(axis=1), c2 @ popcounts(1 << n)
+    keep = (inf > 0) & ((corr[:, 0] == 0) if balanced else True)
+    val = np.where(keep, (2 * n - np.log2(m)) * 4**n / np.maximum(inf, 1), -np.inf)
+    cand = np.nonzero(val >= val.max() - 1e-9)[0]
+    exact = {Fraction((2 * n - int(m[v]).bit_length() + 1) * 4**n, int(inf[v])) for v in cand}
+    assert len(exact) == 1 and all(int(m[v]) & (int(m[v]) - 1) == 0 for v in cand)
+    return exact.pop(), cand.tolist(), int(np.count_nonzero(corr[cand, 0] == 0))
+
+
+@pytest.mark.parametrize("filters, total", [((), 944), (("balanced",), 320)])
+def test_orbit_sweep_matches_dense_scan(filters, total):
+    best, achievers, balanced = dense_mei_achievers(4, bool(filters))
+    assert len(achievers) == total
+    r = sweep(SearchJob("general", 4, metric="mei", filters=filters, witness_cap=2000), threads=1)
+    assert r.functions_scanned == 1 << 16
+    assert r.best_ratio.rational == best
+    assert r.witness_total == total and r.balanced_at_best == balanced
+    assert list(r.witnesses) == [TruthTable(4, v).to_hex() for v in achievers]
+
+
 # --- determinism ---------------------------------------------------------------------
 
 
@@ -289,6 +351,21 @@ def test_checkpoint_corruption(tmp_path):
         fh.write(b"garbage!")
     with pytest.raises(CheckpointError):
         sweep(job, threads=1)
+
+
+def test_checkpoint_old_version_rejected(tmp_path):
+    # version 1 indexed general-family chunks by low half, not by orbit representative
+    path = tmp_path / "sweep.ck"
+    job = SearchJob("general", 3, metric="mei", chunk_bits=2, checkpoint_path=str(path))
+    sweep(job, threads=1)
+    data = bytearray(path.read_bytes())
+    magic, version, cap, rec_size, pad, digest = _CKPT_HEADER.unpack_from(data)
+    assert version == 2 and digest == job.digest()
+    _CKPT_HEADER.pack_into(data, 0, magic, 1, cap, rec_size, pad, digest)
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="version 1"):
+        sweep(job, threads=1)
+    assert path.read_bytes() == bytes(data)
 
 
 def test_checkpoint_job_mismatch(tmp_path):

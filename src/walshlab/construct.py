@@ -26,7 +26,7 @@ from .core import (
     reverse,
     walsh_transform,
 )
-from .metrics import ExactValue, entropy, influence_spectral, min_entropy, ratio, resilience_order
+from .metrics import ExactValue, MetricsReport, classify, entropy, ratio
 
 _CHUNK = 1 << 20
 
@@ -145,7 +145,16 @@ def disjoint_walsh(
 
 
 def disjoint_spectrum(spec: CompositionSpec) -> Spectrum:
-    """Dense exact spectrum of the composition, without materialising it."""
+    """Dense exact spectrum of the composition, without materialising it.
+
+    c(u) = c_f(w) * 2^(l*(k - wt(w)) - k) * prod over the nonzero blocks b of
+    c_g(b), with w the pattern of nonzero blocks of u. Correlations are even,
+    so this is c_f(w) times a product of one factor per block: 2^(l-1) for a
+    zero block and c_g(b)/2 for a nonzero one. Viewing the points as a cube
+    with one axis of 2^l per block, the spectrum is c_f on the (2,)^k cube
+    with each axis expanded by that factor, one whole-array pass per block,
+    the last of them written in place into the result. All steps are exact.
+    """
     fs = walsh_transform(spec.outer)
     gs = walsh_transform(spec.inner)
     _require_balanced_inner(spec, gs)
@@ -153,25 +162,16 @@ def disjoint_spectrum(spec: CompositionSpec) -> Spectrum:
     n = k * l
     if n > dense_cap():
         raise DenseCapExceeded(n, dense_cap())
-    size = 1 << n
-    mask = (1 << l) - 1
-    out = np.empty(size, dtype=np.int64)
-    fcorr, gcorr = fs.corr, gs.corr
-    for lo in range(0, size, _CHUNK):
-        u = np.arange(lo, min(lo + _CHUNK, size), dtype=np.int64)
-        prod = np.ones(u.size, dtype=np.int64)
-        w = np.zeros(u.size, dtype=np.int64)
-        wt_w = np.zeros(u.size, dtype=np.int64)
-        for i in range(k):
-            block = (u >> (i * l)) & mask
-            nz = block != 0
-            prod *= np.where(nz, gcorr[block], 1)
-            w |= nz.astype(np.int64) << i
-            wt_w += nz
-        # c(u) = c_f(w) * prod * 2^(l*(k - wt(w)) - k); the shift is exact
-        e = l * (k - wt_w) - k
-        vals = fcorr[w] * prod
-        out[lo : lo + u.size] = np.where(e >= 0, vals << np.maximum(e, 0), vals >> np.maximum(-e, 0))
+    out = np.empty(1 << n, dtype=np.int64)
+    half = gs.corr[1:, None] >> 1
+    cur = fs.corr  # axis k-1-i of a cube is block i, as in the point index
+    for axis in reversed(range(k)):
+        lead, tail = 1 << axis, 1 << (l * (k - 1 - axis))
+        src = cur.reshape(lead, 2, tail)
+        shape = (lead, 1 << l, tail)
+        cur = out.reshape(shape) if axis == 0 else np.empty(shape, dtype=np.int64)
+        np.left_shift(src[:, :1], l - 1, out=cur[:, :1])
+        np.multiply(src[:, 1:], half, out=cur[:, 1:])
     return Spectrum(n, out)
 
 
@@ -264,23 +264,28 @@ def epsilon_mass(s: Spectrum, b: int) -> Fraction:
     return Fraction(int(np.dot(c, c)), 4**s.n)
 
 
-def palindromic_extend(g: TruthTable, b: int) -> tuple[TruthTable, PalindromicSpec]:
-    """Append one variable: concatenate g with (the complement of, when b=1) its reversal."""
+def palindromic_extend(
+    g: TruthTable, b: int, spectrum: Spectrum | None = None
+) -> tuple[TruthTable, PalindromicSpec]:
+    """Append one variable: concatenate g with (the complement of, when b=1) its reversal.
+
+    g's spectrum may be passed in when the caller already has it.
+    """
     if b not in (0, 1):
         raise ValueError("b must be 0 or 1")
     top = reverse(g)
     if b == 1:
         top = top.complement()
     extended = TruthTable(g.n + 1, g.bits | (top.bits << g.size))
-    eps = epsilon_mass(walsh_transform(g), b)
+    eps = epsilon_mass(spectrum if spectrum is not None else walsh_transform(g), b)
     return extended, PalindromicSpec(g, b, ExactValue.from_fraction(eps))
 
 
-def _base_profile(g: TruthTable) -> tuple[Spectrum, Fraction, ExactValue, ExactValue]:
+def _base_profile(g: TruthTable) -> tuple[Spectrum, MetricsReport]:
     gs = walsh_transform(g)
     if int(gs.corr[0]) != 0:
         raise UnbalancedFunctionError("construction requires a balanced seed function")
-    return gs, influence_spectral(gs).rational, entropy(gs), min_entropy(gs)
+    return gs, classify(gs)
 
 
 def _weight1_attains_max(s: Spectrum) -> bool:
@@ -297,7 +302,8 @@ def ot_recursion_metrics(g: TruthTable, m: int) -> AnalyticReport:
     """
     if m < 0:
         raise ValueError("iteration count must be >= 0")
-    gs, inf_g, h_g, hmin_g = _base_profile(g)
+    gs, rep = _base_profile(g)
+    inf_g, h_g, hmin_g = rep.influence.rational, rep.entropy, rep.min_entropy
     hypothesis = _weight1_attains_max(gs)
     influence = ExactValue.from_fraction(inf_g ** (m + 1))
     h = h_g
@@ -335,8 +341,9 @@ def gb_construction_report(g: TruthTable, b: int) -> AnalyticReport:
     When g is plateaued and exactly t-resilient with t = b (mod 2), the
     closed-form ratio for that case is evaluated and its agreement recorded.
     """
-    gs, inf_g, h_g, hmin_g = _base_profile(g)
-    gb, pspec = palindromic_extend(g, b)
+    gs, rep = _base_profile(g)
+    inf_g, h_g, hmin_g = rep.influence.rational, rep.entropy, rep.min_entropy
+    gb, pspec = palindromic_extend(g, b, gs)
     gbs = walsh_transform(gb)
     eps = pspec.epsilon_b.rational
     inf_gb = inf_g + eps
@@ -355,9 +362,8 @@ def gb_construction_report(g: TruthTable, b: int) -> AnalyticReport:
         "entropy": ENTROPY_COMPOSITION,
         "min_entropy": COMPOSITION_MIN_ENTROPY,
     }
-    t = resilience_order(gs)
-    levels = np.unique(np.abs(gs.corr[gs.corr != 0]))
-    if t >= 0 and t % 2 == b and levels.size == 1:
+    t = rep.resilience_order
+    if t >= 0 and t % 2 == b and rep.plateaued:
         closed = None
         if hmin_g.exact:
             closed = ExactValue.from_fraction(

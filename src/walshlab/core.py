@@ -5,6 +5,11 @@ of ``TruthTable.bits`` is f(x) for x the n-bit binary representation of i,
 with variable ``X_j`` carried by index bit j-1 (X_1 is least significant).
 Spectra hold the unnormalised correlations c(a) = 2^n * W_f(a), which are
 exact 64-bit integers for every arity this library supports.
+
+The butterfly of ``walsh_transform`` runs in int32: every partial sum is
+bounded by |c| <= 2^n <= 2^28, and the doubled operand of a butterfly step
+by 2^29, both below 2^31 at ``N_MAX``. The result is widened to int64 once,
+when it is stored in ``Spectrum.corr``.
 """
 from __future__ import annotations
 
@@ -14,7 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-N_MAX = 28            # hard arity limit: correlations and their squares fit in int64
+# Hard arity limit: the int32 butterfly never exceeds 2^29, and correlations
+# and their squares fit in int64.
+N_MAX = 28
 DEFAULT_DENSE_CAP = 24
 
 _dense_cap = DEFAULT_DENSE_CAP
@@ -148,11 +155,7 @@ class Spectrum:
 
     @property
     def max_corr_sq(self) -> int:
-        return int(np.max(self.corr * self.corr))
-
-    @property
-    def support_size(self) -> int:
-        return int(np.count_nonzero(self.corr))
+        return int(np.abs(self.corr).max()) ** 2
 
     def parseval_holds(self) -> bool:
         return int(np.dot(self.corr, self.corr)) == 4**self.n
@@ -161,31 +164,45 @@ class Spectrum:
         return Fraction(int(self.corr[alpha]), 1 << self.n)
 
 
-def fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """In-place integer Walsh-Hadamard butterfly along the last axis.
-
-    Applying it twice multiplies the input by its length.
-    """
-    size = a.shape[-1]
+def _butterfly_rows(m: np.ndarray) -> None:
+    """Butterfly levels over axis -2 of ``m`` (..., R, C), each step on whole rows."""
+    lead = m.shape[:-2]
+    rows, cols = m.shape[-2:]
     h = 1
-    lead = a.shape[:-1]
-    while h < size:
-        a = a.reshape(lead + (-1, 2, h))
-        top = a[..., 0, :]
-        bot = a[..., 1, :]
+    while h < rows:
+        v = m.reshape(lead + (-1, 2, h * cols))
+        top = v[..., 0, :]
+        bot = v[..., 1, :]
         top += bot  # top' = x + y
         bot *= -2
         bot += top  # x + y - 2y = x - y
-        a = a.reshape(lead + (size,))
         h *= 2
-    return a
+
+
+def fwht_inplace(a: np.ndarray) -> np.ndarray:
+    """In-place integer Walsh-Hadamard butterfly along the last axis.
+
+    Any leading axes are independent transforms; the dtype must hold 2^m
+    times the largest input for a last axis of 2^m. The axis is viewed as
+    R x C with R*C = 2^m: the high index bits are transformed with
+    whole-row operations, the array is transposed once into a scratch copy,
+    the low bits are transformed there, again on whole rows, and the result
+    is copied back. Applying it twice multiplies the input by its length.
+    """
+    size = a.shape[-1]
+    cols = 1 << ((size.bit_length() - 1) // 2)
+    m = a.reshape(a.shape[:-1] + (size // cols, cols))
+    _butterfly_rows(m)
+    t = np.ascontiguousarray(m.swapaxes(-1, -2))
+    _butterfly_rows(t)
+    m[...] = t.swapaxes(-1, -2)
+    return m.reshape(a.shape)
 
 
 def walsh_transform(f: TruthTable) -> Spectrum:
     """Exact integer Walsh spectrum of f via the O(n*2^n) butterfly."""
     _check_dense(f.n)
-    signs = f.signs().astype(np.int64)
-    return Spectrum(f.n, fwht_inplace(signs))
+    return Spectrum(f.n, fwht_inplace(f.signs()))
 
 
 def reverse(f: TruthTable) -> TruthTable:

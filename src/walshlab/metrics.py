@@ -2,9 +2,16 @@
 
 Everything that can be exact is exact: influence is always a rational with
 denominator dividing 4^n, min-entropy is an integer whenever the largest
-squared correlation is a power of two, and entropy falls back to binary64
-with compensated summation otherwise. ``ExactValue`` carries both the exact
-rational (when one exists) and a binary64 shadow.
+squared correlation is a power of two, and entropy is binary64 otherwise.
+That binary64 value is the correctly rounded sum of the per-point terms
+c^2 * log2(c^2), at every n: the terms are equal on points of equal |c|, so
+the sum is taken exactly over the distinct levels of |c|, each term times
+its multiplicity, and rounded once. It equals ``math.fsum`` over the points
+and does not depend on the platform's ``long double``. ``ExactValue``
+carries both the exact rational (when one exists) and a binary64 shadow.
+
+Every metric reads one histogram of |c| (``_profile``), which also checks
+the Parseval identity.
 """
 from __future__ import annotations
 
@@ -18,7 +25,7 @@ from .core import Spectrum, TruthTable, popcounts
 
 
 class SpectrumError(ValueError):
-    """A spectrum failed its Parseval identity; the data is corrupted."""
+    """A spectrum has an odd or out-of-range entry or fails Parseval; the data is corrupted."""
 
 
 @dataclass(frozen=True)
@@ -96,47 +103,95 @@ class MetricsReport:
     mei_ratio: ExactValue | None
 
 
-def _check_parseval(s: Spectrum) -> None:
-    if not s.parseval_holds():
-        raise SpectrumError(
-            f"correlation squares sum to {int(np.dot(s.corr, s.corr))}, expected {4**s.n}"
-        )
+@dataclass(frozen=True)
+class _Profile:
+    """Distinct nonzero levels of |c| with their point counts, of a checked spectrum."""
+
+    n: int
+    levels: list[int]  # ascending
+    counts: list[int]
+    support: int
+
+    @property
+    def plateaued(self) -> bool:
+        return len(self.levels) == 1
+
+    @property
+    def max_corr_sq(self) -> int:
+        return self.levels[-1] ** 2
+
+
+def _profile(s: Spectrum) -> _Profile:
+    """Histogram of |c| from one bincount; raises SpectrumError on a corrupt spectrum."""
+    a = np.abs(s.corr)
+    # As uint64, |INT64_MIN| (which stays negative) is also out of range.
+    top = int(a.view(np.uint64).max())
+    if top > s.size:
+        raise SpectrumError(f"|c| reaches {top}, above 2^n = {s.size}; Parseval cannot hold")
+    hist = np.bincount(a)
+    levels = np.flatnonzero(hist[1:]) + 1
+    counts = hist[levels].tolist()
+    levels = levels.tolist()
+    odd = [v for v in levels if v & 1]
+    if odd:
+        raise SpectrumError(f"|c| = {odd[0]} is odd; correlations of functions with n >= 1 are even")
+    total = sum(k * v * v for k, v in zip(counts, levels))
+    if total != 4**s.n:
+        raise SpectrumError(f"correlation squares sum to {total}, expected {4**s.n}")
+    return _Profile(s.n, levels, counts, s.size - int(hist[0]))
+
+
+def _entropy(p: _Profile) -> ExactValue:
+    if p.plateaued and p.support & (p.support - 1) == 0:
+        return ExactValue.from_fraction(p.support.bit_length() - 1)
+    v = np.array(p.levels, dtype=np.float64)
+    terms = (v * v) * (2.0 * np.log2(v))
+    # Exact sum of count * term over the levels (all dyadic), rounded once.
+    parts = [t.as_integer_ratio() for t in terms.tolist()]
+    den = max(d for _, d in parts)
+    acc = sum(k * num * (den // d) for k, (num, d) in zip(p.counts, parts)) / den
+    return ExactValue.from_float(2 * p.n - acc / float(4**p.n))
+
+
+def _min_entropy(p: _Profile) -> ExactValue:
+    return ExactValue.log2_of(Fraction(4**p.n, p.max_corr_sq))
+
+
+def _influence(s: Spectrum) -> ExactValue:
+    # weight(r*C + c) = weight(r) + weight(c) on the R x C view of the points
+    cols = 1 << (s.n // 2)
+    m = s.corr.reshape(-1, cols)
+    rows = np.einsum("rc,rc->r", m, m)
+    col_sums = np.einsum("rc,rc->c", m, m)
+    total = int(popcounts(m.shape[0]) @ rows + col_sums @ popcounts(cols))
+    return ExactValue.from_fraction(Fraction(total, 4**s.n))
+
+
+def _resilience(s: Spectrum) -> int:
+    if s.corr[0] != 0:
+        return -1
+    return int(np.bitwise_count(np.flatnonzero(s.corr)).min()) - 1
 
 
 def entropy(s: Spectrum) -> ExactValue:
     """Shannon entropy of the squared-spectrum distribution, in bits.
 
     Exact only in the plateaued case with a power-of-two support, where it
-    equals log2(support size); otherwise a compensated binary64 sum.
+    equals log2(support size); otherwise the correctly rounded binary64 value
+    of 2n - sum(c^2 * log2(c^2)) / 4^n.
     """
-    _check_parseval(s)
-    nz = np.abs(s.corr[s.corr != 0]).astype(np.float64)
-    support = nz.size
-    levels = np.unique(nz)
-    if levels.size == 1 and support & (support - 1) == 0:
-        return ExactValue.from_fraction(support.bit_length() - 1)
-    total = float(4**s.n)
-    terms = (nz * nz) * (2.0 * np.log2(nz))
-    if terms.size <= 1 << 16:
-        acc = math.fsum(terms.tolist())
-    else:
-        acc = float(np.sum(terms, dtype=np.longdouble))
-    return ExactValue.from_float(2 * s.n - acc / total)
+    return _entropy(_profile(s))
 
 
 def min_entropy(s: Spectrum) -> ExactValue:
     """-log2 of the largest squared normalised Walsh value."""
-    _check_parseval(s)
-    m = s.max_corr_sq
-    return ExactValue.log2_of(Fraction(4**s.n, m))
+    return _min_entropy(_profile(s))
 
 
 def influence_spectral(s: Spectrum) -> ExactValue:
     """Total influence from the weight-weighted squared spectrum; always exact."""
-    _check_parseval(s)
-    wt = popcounts(s.size)
-    total = int(np.dot(wt, s.corr * s.corr))
-    return ExactValue.from_fraction(Fraction(total, 4**s.n))
+    _profile(s)
+    return _influence(s)
 
 
 def influence_probe(f: TruthTable) -> ExactValue:
@@ -151,35 +206,29 @@ def influence_probe(f: TruthTable) -> ExactValue:
 
 def resilience_order(s: Spectrum) -> int:
     """Largest t with a zero spectrum on all points of weight <= t; -1 if unbalanced."""
-    wt = popcounts(s.size)
-    nz = s.corr != 0
-    return int(wt[nz].min()) - 1 if nz.any() else s.n - 1
+    _profile(s)
+    return _resilience(s)
 
 
 def classify(s: Spectrum) -> MetricsReport:
     """All metrics, classification flags, and both conjecture ratios."""
-    _check_parseval(s)
+    p = _profile(s)
     corr0 = int(s.corr[0])
-    weight = (s.size - corr0) // 2
-    levels = np.unique(np.abs(s.corr[s.corr != 0]))
-    plateaued = levels.size == 1
-    plateau_level = int(levels[0]) if plateaued else None
-    bent = plateaued and s.support_size == s.size
-    h = entropy(s)
-    hmin = min_entropy(s)
-    inf = influence_spectral(s)
+    h = _entropy(p)
+    hmin = _min_entropy(p)
+    inf = _influence(s)
     return MetricsReport(
         n=s.n,
-        weight=weight,
+        weight=(s.size - corr0) // 2,
         balanced=corr0 == 0,
-        resilience_order=resilience_order(s),
-        plateaued=plateaued,
-        plateau_level=plateau_level,
-        bent=bent,
+        resilience_order=_resilience(s),
+        plateaued=p.plateaued,
+        plateau_level=p.levels[0] if p.plateaued else None,
+        bent=p.plateaued and p.support == s.size,
         entropy=h,
         min_entropy=hmin,
         influence=inf,
-        max_corr_sq=s.max_corr_sq,
+        max_corr_sq=p.max_corr_sq,
         ei_ratio=ratio(h, inf),
         mei_ratio=ratio(hmin, inf),
     )

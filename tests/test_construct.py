@@ -143,9 +143,13 @@ def test_disjoint_walsh_requires_balanced_inner(rng):
 
 
 def test_disjoint_spectrum_matches_brute_force(rng):
+    shapes = []
     for _ in range(60):
         k = rng.randint(2, 4)
-        l = rng.randint(2, min(4, 12 // k))
+        shapes.append((k, rng.randint(2, min(4, 12 // k))))
+    # a single block (k=1), g = X1 or its complement (l=1), and k*l up to 20
+    shapes += [(1, 1), (1, 3), (1, 7), (2, 1), (3, 1), (6, 1), (12, 1), (5, 4), (4, 5), (2, 10), (10, 2)] * 2
+    for k, l in shapes:
         f = random_table(rng, k)
         g = random_balanced(rng, l)
         spec = CompositionSpec(f, g)
@@ -310,6 +314,7 @@ def test_palindromic_min_entropy_and_influence(rng):
             gs = walsh_transform(g)
             for b in (0, 1):
                 ext, pspec = palindromic_extend(g, b)
+                assert palindromic_extend(g, b, gs) == (ext, pspec)
                 es = walsh_transform(ext)
                 assert es.max_corr_sq == 4 * gs.max_corr_sq
                 lhs = influence_spectral(es).rational

@@ -20,14 +20,28 @@ from conftest import random_table
 
 
 def slow_walsh(f: TruthTable) -> list[int]:
-    """Direct O(4^n) definition of the integer correlations."""
+    """Direct O(4^n) definition of the integer correlations, one point a at a time."""
+    x = np.arange(f.size)
+    signs = np.array([1 - 2 * f.value(i) for i in range(f.size)], dtype=np.int64)
     out = []
     for a in range(f.size):
-        s = 0
-        for x in range(f.size):
-            s += (-1) ** (f.value(x) ^ (bin(x & a).count("1") & 1))
-        out.append(s)
+        parity = np.bitwise_count(x & a).astype(np.int64) & 1
+        out.append(int(signs @ (1 - 2 * parity)))
     return out
+
+
+def reference_butterfly(a: np.ndarray) -> np.ndarray:
+    """Radix-2 butterfly in int64, one strided pass per level, on a copy of the last axis."""
+    a = a.astype(np.int64)
+    size = a.shape[-1]
+    h = 1
+    while h < size:
+        v = a.reshape(a.shape[:-1] + (-1, 2, h))
+        x, y = v[..., 0, :].copy(), v[..., 1, :].copy()
+        v[..., 0, :] = x + y
+        v[..., 1, :] = x - y
+        h *= 2
+    return a
 
 
 # --- truth tables ---------------------------------------------------------------
@@ -136,13 +150,22 @@ def test_walsh_parity_two_vars():
 
 
 def test_walsh_matches_direct_sum(rng):
+    # odd n splits the points into R x C with R != C
     for v in range(256):
         t = TruthTable(3, v)
         assert walsh_transform(t).corr.tolist() == slow_walsh(t)
-    for n in (4, 5, 6):
-        for _ in range(10):
+    for n in range(1, 13):
+        for _ in range(10 if n <= 8 else 2):
             t = random_table(rng, n)
             assert walsh_transform(t).corr.tolist() == slow_walsh(t)
+
+
+def test_walsh_matches_reference_butterfly(rng):
+    for n in range(13, 21):
+        for t in (random_table(rng, n), table_from_anf(f"X1X{n} + X2X3X{n - 1} + 1", n)):
+            s = walsh_transform(t)
+            assert s.corr.dtype == np.int64
+            assert np.array_equal(s.corr, reference_butterfly(t.signs()))
 
 
 def test_walsh_quintic_witness_support():
@@ -168,6 +191,20 @@ def test_butterfly_involution(rng):
         signs = t.signs().astype(np.int64)
         twice = fwht_inplace(fwht_inplace(signs.copy()))
         assert np.array_equal(twice, signs * t.size)
+
+
+def test_butterfly_batched_int64(rng):
+    # leading axes and int64 input, as the search table builders use it
+    for n in (1, 2, 5, 7):
+        batch = np.array(
+            [[random_table(rng, n).signs() for _ in range(3)] for _ in range(2)], dtype=np.int64
+        )
+        a = batch.copy()
+        once = fwht_inplace(a)
+        assert once.dtype == np.int64 and once.shape == batch.shape
+        assert np.shares_memory(once, a)
+        assert np.array_equal(once, reference_butterfly(batch))
+        assert np.array_equal(fwht_inplace(once), batch * (1 << n))
 
 
 def test_spectrum_is_immutable():

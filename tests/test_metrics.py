@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from walshlab.core import Spectrum, TruthTable, table_from_anf, walsh_transform
+from walshlab.core import Spectrum, TruthTable, popcounts, table_from_anf, walsh_transform
 from walshlab.metrics import (
     ExactValue,
+    MetricsReport,
     SpectrumError,
     classify,
     entropy,
@@ -14,10 +15,11 @@ from walshlab.metrics import (
     influence_spectral,
     min_entropy,
     ratio,
+    resilience_order,
 )
 from walshlab.report import QUINTIC_MAX_ANF, QUINTIC_SEED_ANF
 
-from conftest import random_table
+from conftest import random_balanced, random_table
 
 
 def spectrum_of(anf: str, n: int) -> Spectrum:
@@ -26,6 +28,57 @@ def spectrum_of(anf: str, n: int) -> Spectrum:
 
 def parity(n: int) -> Spectrum:
     return walsh_transform(table_from_anf(" + ".join(f"X{j}" for j in range(1, n + 1)), n))
+
+
+def reference_report(s: Spectrum) -> MetricsReport:
+    """Every metric from its per-point formula: levels by np.unique, popcounts of
+    every point, and the entropy as math.fsum of the per-point float terms."""
+    n, corr = s.n, s.corr
+    assert int(np.dot(corr, corr)) == 4**n
+    nz = np.abs(corr[corr != 0])
+    levels = np.unique(nz)
+    support = nz.size
+    if levels.size == 1 and support & (support - 1) == 0:
+        h = ExactValue.from_fraction(support.bit_length() - 1)
+    else:
+        v = nz.astype(np.float64)
+        h = ExactValue.from_float(2 * n - math.fsum(((v * v) * (2.0 * np.log2(v))).tolist()) / float(4**n))
+    peak = int(np.max(corr * corr))
+    hmin = ExactValue.log2_of(Fraction(4**n, peak))
+    wt = popcounts(s.size)
+    inf = ExactValue.from_fraction(Fraction(int(np.dot(wt, corr * corr)), 4**n))
+    plateaued = levels.size == 1
+    return MetricsReport(
+        n=n,
+        weight=(s.size - int(corr[0])) // 2,
+        balanced=int(corr[0]) == 0,
+        resilience_order=int(wt[corr != 0].min()) - 1,
+        plateaued=plateaued,
+        plateau_level=int(levels[0]) if plateaued else None,
+        bent=plateaued and support == s.size,
+        entropy=h,
+        min_entropy=hmin,
+        influence=inf,
+        max_corr_sq=peak,
+        ei_ratio=ratio(h, inf),
+        mei_ratio=ratio(hmin, inf),
+    )
+
+
+def metric_grid(rng, n: int, randoms: int) -> list[TruthTable]:
+    """Random functions plus bent, affine, constant, plateaued non-bent and resilient ones."""
+    fs = [random_table(rng, n) for _ in range(randoms)]
+    fs += [TruthTable(n, 0), TruthTable(n, (1 << (1 << n)) - 1), random_balanced(rng, n) if n <= 16 else fs[0]]
+    fs.append(table_from_anf(" + ".join(f"X{j}" for j in range(1, n + 1, 2)) + " + 1", n))  # affine
+    pairs = " + ".join(f"X{j}X{j + 1}" for j in range(1, n, 2))
+    if n % 2 == 0:
+        fs.append(table_from_anf(pairs, n))  # bent
+    elif n >= 3:
+        fs.append(table_from_anf(pairs, n))  # plateaued, level 2^((n+1)/2)
+    if n >= 4:
+        fs.append(table_from_anf(f"X1 + X2 + X3X{n}", n))  # 1-resilient, plateaued
+        fs.append(table_from_anf(f"X1X2X3 + X{n}", n))  # 0-resilient, not plateaued
+    return fs
 
 
 # --- ExactValue -------------------------------------------------------------------
@@ -106,6 +159,36 @@ def test_entropy_rejects_corrupt_spectrum():
         entropy(bad)
     with pytest.raises(SpectrumError):
         classify(bad)
+
+
+@pytest.mark.parametrize(
+    "n, corr",
+    [
+        (3, [7, 3, 2, 1, 1, 0, 0, 0]),  # odd entries, squares sum to 4^3
+        (2, [4, 2, 0, 0]),  # Parseval sum 20, off by 4
+        (2, [2, 2, 2, 0]),  # Parseval sum 12, off by 4
+        (2, [1 << 40, 0, 0, 0]),  # |c| above 2^n
+        (2, [np.iinfo(np.int64).min, 0, 0, 0]),  # |c| does not fit int64
+    ],
+)
+def test_every_metric_rejects_corrupt_spectrum(n, corr):
+    bad = Spectrum(n, np.array(corr, dtype=np.int64))
+    for metric in (classify, entropy, min_entropy, influence_spectral, resilience_order):
+        with pytest.raises(SpectrumError):
+            metric(bad)
+
+
+def test_classify_matches_per_point_reference(rng):
+    for n in range(1, 21):
+        for f in metric_grid(rng, n, 6 if n <= 12 else 1):
+            s = walsh_transform(f)
+            want = reference_report(s)
+            assert repr(classify(s)) == repr(want), (n, f.to_hex()[:16])
+            if n <= 12:
+                assert repr(entropy(s)) == repr(want.entropy)
+                assert repr(min_entropy(s)) == repr(want.min_entropy)
+                assert repr(influence_spectral(s)) == repr(want.influence)
+                assert resilience_order(s) == want.resilience_order
 
 
 # --- min-entropy ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -158,10 +157,8 @@ class Spectrum:
         return int(np.abs(self.corr).max()) ** 2
 
     def parseval_holds(self) -> bool:
-        return int(np.dot(self.corr, self.corr)) == 4**self.n
-
-    def walsh_value(self, alpha: int) -> Fraction:
-        return Fraction(int(self.corr[alpha]), 1 << self.n)
+        # Python ints: an int64 dot product wraps once some |c| reaches 2^32
+        return sum(c * c for c in self.corr.tolist()) == 4**self.n
 
 
 def _butterfly_rows(m: np.ndarray) -> None:

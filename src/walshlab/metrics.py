@@ -12,14 +12,23 @@ carries both the exact rational (when one exists) and a binary64 shadow.
 
 Every metric reads one histogram of |c| (``_profile``), which also checks
 the Parseval identity.
+
+``LogLinear`` is the exact form of every sweep ratio: (K + sum of e_p *
+log2 p) / D over odd primes p, with integers K, e_p and D (``log2_terms``
+splits log2 of an integer that way). In lowest terms, equal values have
+equal fields, and ``compare`` orders unequal values exactly. Its binary64
+``value`` is correctly rounded. The entropy of ``classify`` is not yet
+carried in this form.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from mpmath.libmp import from_int, mpf_log, round_ceiling, round_floor
 
 from .core import Spectrum, TruthTable, popcounts
 
@@ -73,6 +82,116 @@ class ExactValue:
             q = self.rational
             return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
         return repr(self.value)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def log2_terms(c: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(a, ((p, e), ...)) with log2 c = a + sum of e * log2 p over odd primes p; c >= 1."""
+    a = (c & -c).bit_length() - 1
+    q, p, odd = c >> a, 3, []
+    while p * p <= q:
+        e = 0
+        while q % p == 0:
+            q, e = q // p, e + 1
+        if e:
+            odd.append((p, e))
+        p += 2
+    if q > 1:
+        odd.append((q, 1))
+    return a, tuple(odd)
+
+
+@dataclass(frozen=True)
+class LogLinear:
+    """The exact real (const + sum of coef * log2 p) / den, p over odd primes.
+
+    Every sweep ratio has this form, because |c| = 2^a * q with q odd. 1 and
+    the log2 p are linearly independent over Q, so in lowest terms (as
+    :meth:`of` builds them) two values are equal exactly when their fields
+    are, and a value is rational exactly when ``logs`` is empty. Unequal
+    values are ordered by their correctly rounded binary64 values, or when
+    those coincide by interval enclosures at doubling precision, which
+    always separate them.
+    """
+
+    const: int
+    logs: tuple[tuple[int, int], ...]  # (odd prime, nonzero coefficient), ascending primes
+    den: int  # > 0, coprime to the gcd of const and the coefficients
+
+    @classmethod
+    def of(cls, const: int, logs: dict[int, int], den: int) -> "LogLinear":
+        if den == 0:
+            raise ZeroDivisionError("LogLinear with a zero denominator")
+        logs = {p: e for p, e in logs.items() if e}
+        g = math.gcd(const, den, *logs.values()) * (1 if den > 0 else -1)
+        return cls(const // g, tuple(sorted((p, e // g) for p, e in logs.items())), den // g)
+
+    @property
+    def rational(self) -> Fraction | None:
+        return None if self.logs else Fraction(self.const, self.den)
+
+    @functools.cached_property
+    def value(self) -> float:
+        """The correctly rounded binary64 value."""
+        if not self.logs:
+            return self.const / self.den  # int / int rounds correctly
+        prec = _start_prec(self.const, self.logs, self.den)
+        while True:
+            lo, hi = _enclose(self.const, self.logs, prec)
+            ln2_lo, ln2_hi = _ln_bounds(2, prec)
+            if lo >= 0:
+                lo, hi = lo / (self.den * ln2_hi), hi / (self.den * ln2_lo)
+            elif hi <= 0:
+                lo, hi = lo / (self.den * ln2_lo), hi / (self.den * ln2_hi)
+            if lo == hi:  # both bounds rounded alike, and rounding is monotone
+                return lo
+            prec *= 2
+
+    def compare(self, other: "LogLinear") -> int:
+        """Exact three-way comparison: -1, 0 or 1."""
+        if self == other:
+            return 0
+        if self.value != other.value:  # rounding is monotone, so this order is exact
+            return 1 if self.value > other.value else -1
+        logs = {p: e * other.den for p, e in self.logs}
+        for p, e in other.logs:
+            logs[p] = logs.get(p, 0) - e * self.den
+        const = self.const * other.den - other.const * self.den
+        logs = tuple((p, e) for p, e in logs.items() if e)
+        if not logs:
+            return (const > 0) - (const < 0)
+        prec = _start_prec(const, logs, 1)
+        while True:  # ends: a nonzero value is eventually separated from 0
+            lo, hi = _enclose(const, logs, prec)
+            if lo > 0 or hi < 0:
+                return 1 if lo > 0 else -1
+            prec *= 2
+
+    def __lt__(self, other: "LogLinear") -> bool:
+        return self.compare(other) < 0
+
+
+def _start_prec(const: int, logs, den: int) -> int:
+    return 64 + max(abs(x).bit_length() for x in (const, den, *(e for _, e in logs)))
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _ln_bounds(p: int, prec: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= 2^prec * ln p <= hi, from directed-rounding logs."""
+    _, man, exp, _ = mpf_log(from_int(p), prec + 8, round_floor)
+    lo = man << (exp + prec) if exp + prec >= 0 else man >> -(exp + prec)
+    _, man, exp, _ = mpf_log(from_int(p), prec + 8, round_ceiling)
+    hi = man << (exp + prec) if exp + prec >= 0 else -(-man >> -(exp + prec))
+    return lo, hi
+
+
+def _enclose(const: int, logs, prec: int) -> tuple[int, int]:
+    """Integers lo <= 2^prec * ln 2 * (const + sum of e * log2 p) <= hi."""
+    lo = hi = 0
+    for c, (a, b) in [(const, _ln_bounds(2, prec))] + [(e, _ln_bounds(p, prec)) for p, e in logs]:
+        lo += c * (a if c > 0 else b)
+        hi += c * (b if c > 0 else a)
+    return lo, hi
 
 
 def ratio(numerator: ExactValue, denominator: ExactValue) -> ExactValue | None:

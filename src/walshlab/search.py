@@ -23,13 +23,17 @@ n) turns each function's orbit sign vector into its correlations at the
 orbit representatives, and every metric and filter reads those class columns
 weighted by orbit size.
 
-Aggregation is associative and exact: float metric values only pre-filter
-candidates, and the running maximum is decided on the exact integer key
-(max corr^2, weighted spectral sum), so results are identical for every
-chunking and worker count.
+Aggregation is associative and exact. Every ratio of a function is an exact
+``LogLinear`` key (K + sum of e_p * log2 p) / D with integers K, e_p, D, built
+from its squared correlations (|c| = 2^a * q, q odd): ``ei`` from all of them,
+``mei`` and ``ot1-mei`` from the largest. Maxima, ties, counts and witnesses
+are decided on these keys, so results are identical for every chunking and
+worker count. Float ratios only pick the candidate rows that get a key. A
+count threshold is rational, so a row with an irrational ratio never counts.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -37,16 +41,17 @@ import os
 import re
 import struct
 import time
+import zlib
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-import mpmath
 import numpy as np
 
 from .core import TruthTable, fwht_inplace, popcounts
-from .metrics import ExactValue
+from .metrics import ExactValue, LogLinear, log2_terms
 
 FAMILIES = ("general", "symmetric", "rotsym")
 METRICS = ("mei", "ei", "ot1-mei")
@@ -54,13 +59,20 @@ GENERAL_N_MAX = 5
 SYMMETRIC_N_MAX = 16
 ROTSYM_N_MAX = 7
 
+# Float ratios only pick candidate rows. Each is within 4e-10 of its exact
+# value: an entropy sums at most 32 terms of a few ulp error each, and
+# 4^n / I <= 2^(n-1) / n for a nonconstant function, so the error is at most
+# 36 * 2^-52 * 2^n plus a few ulp of the ratio (n <= 16); ot1-mei rows are
+# balanced, so I >= 4^n. Twice that plus one ulp is below the tolerance, so no
+# row at the exact maximum or threshold is dropped.
 _FLOAT_TOL = 1e-9
 _BATCH_CELLS = 1 << 18  # orbit-kernel cells (functions x orbits) per batch
 
 CHECKPOINT_DIR_ENV = "WALSHLAB_CHECKPOINT_DIR"
 _CKPT_MAGIC = b"WLSWEEP1"
-_CKPT_VERSION = 2  # 2: general-family chunk ids index low-half orbit representatives
+_CKPT_VERSION = 3  # 3: records carry a CRC32 and the best function id instead of its key
 _CKPT_HEADER = struct.Struct("<8sIIII16s")
+_CKPT_CRC = struct.Struct("<I")
 
 
 class SweepBoundError(ValueError):
@@ -264,92 +276,52 @@ def expand_witness(job: SearchJob, func_id: int) -> TruthTable:
 # --- Exact metric keys ----------------------------------------------------------
 
 
-def _cmp_int(a, b) -> int:
-    return (a > b) - (a < b)
+@functools.lru_cache(maxsize=1 << 14)
+def _ratio_key(
+    metric: str, n: int, inf: int, c2: tuple[int, ...], sizes: tuple[int, ...]
+) -> LogLinear:
+    """Exact ratio of one function from its influence numerator and squared correlations.
 
-
-def _dyadic_log2(m: int) -> int | None:
-    return m.bit_length() - 1 if m & (m - 1) == 0 else None
-
-
-def _perfect_power_base(m: int) -> tuple[int, int]:
-    """Smallest base b with m = b^k; returns (b, k). m must be >= 2."""
-    for k in range(m.bit_length() - 1, 1, -1):
-        b = round(m ** (1.0 / k))
-        for cand in (b - 1, b, b + 1):
-            if cand >= 2 and cand**k == m:
-                return cand, k
-    return m, 1
-
-
-def _log_values_equal(k1: tuple[int, int], k2: tuple[int, int], n: int, p: int) -> bool:
-    """Exact test of e2*(2n - log2 M1) == e1*(2n - log2 M2) with e = i^p.
-
-    Equivalent to M1^e2 == M2^e1 * 2^(2n(e2-e1)), decided by factor
-    structure instead of the (astronomically large) integer powers.
+    For ``ei`` entry c2[j] stands for sizes[j] spectral points; ``mei`` and
+    ``ot1-mei`` read only the largest entry m.
     """
-    (m1, i1), (m2, i2) = k1, k2
-    e1, e2 = i1**p, i2**p
-    a1, odd1 = (m1 & -m1).bit_length() - 1, m1 >> ((m1 & -m1).bit_length() - 1)
-    a2, odd2 = (m2 & -m2).bit_length() - 1, m2 >> ((m2 & -m2).bit_length() - 1)
-    if a1 * e2 != a2 * e1 + 2 * n * (e2 - e1):
-        return False
-    if odd1 == 1 or odd2 == 1:
-        return odd1 == odd2
-    b1, q1 = _perfect_power_base(odd1)
-    b2, q2 = _perfect_power_base(odd2)
-    return b1 == b2 and q1 * e2 == q2 * e1
+    tot = 4**n
+    if metric == "ei":  # (2n * 4^n - sum of c^2 * log2 c^2) / I
+        const, logs = 2 * n * tot, Counter()
+        for v, k in zip(c2, sizes):
+            if v:
+                a, odd = log2_terms(math.isqrt(v))
+                const -= 2 * k * v * a
+                for p, e in odd:
+                    logs[p] -= 2 * k * v * e
+        return LogLinear.of(const, logs, inf)
+    a, odd = log2_terms(math.isqrt(max(c2)))
+    # mei = (2n - log2 m) * 4^n / I, ot1-mei = 2 * (2n - log2 m) * 16^n / I^2
+    scale, den = (tot, inf) if metric == "mei" else (2 * tot * tot, inf * inf)
+    return LogLinear.of((2 * n - 2 * a) * scale, {p: -2 * e * scale for p, e in odd}, den)
 
 
-def _cmp_log_keys(k1: tuple[int, int], k2: tuple[int, int], n: int, p: int) -> int:
-    """Exact three-way compare of (2n - log2 M) / i^p values.
-
-    Rational cases compare as fractions; provably-unequal irrational cases
-    are separated at escalating precision (60 digits always suffices for
-    the integer ranges this library produces, the loop is a safety net).
-    """
-    if k1 == k2:
-        return 0
-    (m1, i1), (m2, i2) = k1, k2
-    j1, j2 = _dyadic_log2(m1), _dyadic_log2(m2)
-    if j1 is not None and j2 is not None:
-        return _cmp_int(Fraction(2 * n - j1, i1**p), Fraction(2 * n - j2, i2**p))
-    if j1 is None and j2 is None and _log_values_equal(k1, k2, n, p):
-        return 0
-    for dps in (60, 120, 240, 480, 960):
-        with mpmath.workdps(dps):
-            a = (2 * n - mpmath.log(m1, 2)) / mpmath.mpf(i1) ** p
-            b = (2 * n - mpmath.log(m2, 2)) / mpmath.mpf(i2) ** p
-            if abs(a - b) > mpmath.mpf(10) ** (30 - dps):
-                return _cmp_int(a, b)
-    raise ArithmeticError(f"could not separate metric keys {k1} and {k2}")
+def _column_sizes(job: SearchJob) -> tuple[int, ...]:
+    """Spectral points per column of the job's kernel rows."""
+    if job.family == "general":
+        return (1,) * (1 << job.n)
+    return tuple(_orbit_kernel(job.family, job.n).sizes.tolist())
 
 
-def _key_value(metric: str, key: tuple[int, int], n: int) -> ExactValue:
-    m, i = key
-    j = _dyadic_log2(m)
-    if metric == "mei":
-        if j is not None:
-            return ExactValue.from_fraction(Fraction((2 * n - j) * 4**n, i))
-        return ExactValue.from_float((2 * n - math.log2(m)) * 4**n / i)
-    if metric == "ot1-mei":
-        if j is not None:
-            return ExactValue.from_fraction(Fraction(2 * (2 * n - j) * 16**n, i * i))
-        return ExactValue.from_float(2 * (2 * n - math.log2(m)) * (4**n / i) ** 2)
-    raise ValueError(metric)
-
-
-def _cmp_keys(metric: str, k1: tuple[int, int], k2: tuple[int, int], n: int) -> int:
-    return _cmp_log_keys(k1, k2, n, 1 if metric == "mei" else 2)
-
-
-def _key_equals_threshold(metric: str, key: tuple[int, int], n: int, thr: Fraction) -> bool:
-    m, i = key
-    j = _dyadic_log2(m)
-    if j is None:
-        return False  # the value is irrational, the threshold rational
-    v = _key_value(metric, key, n)
-    return v.rational == thr
+def _function_key(job: SearchJob, fid: int) -> tuple[int, int, LogLinear]:
+    """(largest c^2, influence numerator, exact ratio) of function ``fid`` of the job's family."""
+    if job.family == "general":
+        tab = _general_tables(job.n)
+        low, high = tab.T[fid & (tab.nh - 1)], tab.T[fid >> tab.h]
+        corr = np.concatenate([low + high, low - high])
+        weights = np.concatenate([tab.wt_half, tab.wt_half + 1])
+    else:
+        kernel = _orbit_kernel(job.family, job.n)
+        corr, weights = kernel.spectra(np.array([fid], dtype=np.int64))[0], kernel.weights
+    c2, sizes = corr * corr, _column_sizes(job)
+    m, inf = int(c2.max()), int(c2 @ (weights * sizes))
+    row = tuple(c2.tolist()) if job.metric == "ei" else (m,)
+    return m, inf, _ratio_key(job.metric, job.n, inf, row, sizes)
 
 
 # --- Aggregation -----------------------------------------------------------------
@@ -359,27 +331,25 @@ def _key_equals_threshold(metric: str, key: tuple[int, int], n: int, thr: Fracti
 class _Agg:
     """Associative, exact accumulator for one chunk or a merge of chunks."""
 
-    n: int
-    metric: str
-    target: str
-    threshold: Fraction | None
-    cap: int
+    job: SearchJob
     scanned: int = 0
-    best_float: float = -math.inf
-    best_key: tuple[int, int] | None = None
+    best: LogLinear | None = None
+    best_id: int = -1  # the first function at ``best`` in scan order; -1 without one
     count: int = 0
     balanced: int = 0
     witnesses: list[int] = field(default_factory=list)
 
     def _add_witnesses(self, ids: np.ndarray | list[int]) -> None:
-        fresh = np.unique(np.asarray(ids, dtype=np.int64))[: self.cap].tolist()
-        self.witnesses = sorted(set(self.witnesses).union(fresh))[: self.cap]
+        cap = self.job.witness_cap
+        fresh = np.unique(np.asarray(ids, dtype=np.int64))[:cap].tolist()
+        self.witnesses = sorted(set(self.witnesses).union(fresh))[:cap]
 
     def update(
         self,
         ids: np.ndarray,
         m_arr: np.ndarray,
         inf_arr: np.ndarray,
+        c2: np.ndarray | None,
         val: np.ndarray,
         corr0: np.ndarray,
         scanned: int,
@@ -388,115 +358,75 @@ class _Agg:
     ) -> None:
         """Fold in one batch of rows.
 
-        Each row stands for ``size`` functions with the same metric values
-        and the same balancedness; ``orbit_ids`` maps achieving ids to all of
-        those functions, so the witnesses stay the smallest ids overall.
+        ``val`` holds the float ratios, which only pick candidate rows; ``c2``
+        (needed for ``ei``) the squared correlations the exact keys are built
+        from. Each row stands for ``size`` functions with the same metric
+        values and the same balancedness; ``orbit_ids`` maps achieving ids to
+        all of those functions, so the witnesses stay the smallest ids overall.
         """
         self.scanned += scanned
         if ids.size == 0:
             return
-        if self.target == "count":
-            rows = self._count_rows(m_arr, inf_arr, val)
+        if self.job.target == "count":
+            rows = self._count_rows(m_arr, inf_arr, c2, val)
         else:
-            rows = self._max_rows(m_arr, inf_arr, val)
+            rows = self._max_rows(ids, m_arr, inf_arr, c2, val)
         if rows is None or rows.size == 0:
             return
         self.count += size * int(rows.size)
         self.balanced += size * int(np.count_nonzero(corr0[rows] == 0))
-        if self.cap:
+        if self.job.witness_cap:
             hit = ids[rows]
             self._add_witnesses(hit if orbit_ids is None else orbit_ids(hit))
 
-    def _count_rows(self, m_arr, inf_arr, val) -> np.ndarray:
-        cand = np.nonzero(np.abs(val - float(self.threshold)) <= _FLOAT_TOL)[0]
-        if self.metric == "ei" or cand.size == 0:
-            return cand  # ei: float tolerance decides; entropy sums admit no exact test
-        keys: dict[tuple[int, int], list[int]] = {}
-        for r in cand:
-            keys.setdefault((int(m_arr[r]), int(inf_arr[r])), []).append(r)
-        return np.asarray(
-            [
-                r
-                for key, rows in keys.items()
-                if _key_equals_threshold(self.metric, key, self.n, self.threshold)
-                for r in rows
-            ],
-            dtype=np.int64,
-        )
+    def _keys(self, rows, m_arr, inf_arr, c2) -> tuple[list[LogLinear], np.ndarray]:
+        """The distinct exact keys of ``rows`` and, per row, the index of its key."""
+        job = self.job
+        data = np.column_stack([inf_arr[rows], c2[rows] if job.metric == "ei" else m_arr[rows]])
+        index: dict[tuple[int, ...], int] = {}
+        inverse = np.array([index.setdefault(tuple(row), len(index)) for row in data.tolist()])
+        sizes = _column_sizes(job)
+        return [_ratio_key(job.metric, job.n, row[0], row[1:], sizes) for row in index], inverse
 
-    def _max_rows(self, m_arr, inf_arr, val) -> np.ndarray | None:
+    def _count_rows(self, m_arr, inf_arr, c2, val) -> np.ndarray:
+        thr = self.job.threshold
+        cand = np.nonzero(np.abs(val - float(thr)) <= _FLOAT_TOL)[0]
+        if cand.size == 0:
+            return cand
+        keys, inverse = self._keys(cand, m_arr, inf_arr, c2)
+        return cand[np.array([k.rational == thr for k in keys])[inverse]]
+
+    def _max_rows(self, ids, m_arr, inf_arr, c2, val) -> np.ndarray | None:
         """Rows at the running maximum after this batch (resetting it when beaten)."""
         mx = float(val.max())
         if not math.isfinite(mx):
             return None  # only ratio-less (constant) functions in this batch
-        thresh = max(mx, self.best_float) - _FLOAT_TOL
-        cand = np.nonzero(val >= thresh)[0]
+        floor = mx if self.best is None else max(mx, self.best.value)
+        cand = np.nonzero(val >= floor - _FLOAT_TOL)[0]
         if cand.size == 0:
             return None
-        if self.metric == "ei":
-            if mx < self.best_float:
-                return None
-            if mx > self.best_float:
-                self._reset(None, mx)
-            return cand[val[cand] == self.best_float]
-        groups: dict[tuple[int, int], list[int]] = {}
-        for r in cand:
-            groups.setdefault((int(m_arr[r]), int(inf_arr[r])), []).append(r)
-        top_key = None
-        for key in groups:
-            if top_key is None or _cmp_keys(self.metric, key, top_key, self.n) > 0:
-                top_key = key
-        if self.best_key is not None:
-            rel = _cmp_keys(self.metric, top_key, self.best_key, self.n)
-            if rel < 0:
-                return None
-            fresh = rel > 0
-        else:
-            fresh = True
-        if fresh:
-            self._reset(top_key, _key_value(self.metric, top_key, self.n).value)
-        rows: list[int] = []
-        for key, members in groups.items():
-            if _cmp_keys(self.metric, key, self.best_key, self.n) == 0:
-                rows.extend(members)
-        return np.asarray(rows, dtype=np.int64)
-
-    def _reset(self, best_key: tuple[int, int] | None, best_float: float) -> None:
-        self.best_key = best_key
-        self.best_float = best_float
-        self.count, self.balanced, self.witnesses = 0, 0, []
+        keys, inverse = self._keys(cand, m_arr, inf_arr, c2)
+        top = max(keys)
+        rel = 1 if self.best is None else top.compare(self.best)
+        if rel < 0:
+            return None
+        rows = cand[np.array([k == top for k in keys])[inverse]]
+        if rel > 0:
+            self.best, self.best_id = top, int(ids[rows[0]])
+            self.count, self.balanced, self.witnesses = 0, 0, []
+        return rows
 
     def merge(self, other: "_Agg") -> None:
         self.scanned += other.scanned
-        if other.count == 0 and other.best_key is None and other.best_float == -math.inf:
-            return
-        if self.target == "count":
-            self.count += other.count
-            self.balanced += other.balanced
-            self._add_witnesses(other.witnesses)
-            return
-        if self.metric == "ei":
-            if other.best_float < self.best_float:
+        if self.job.target == "maximize":
+            if other.best is None:
                 return
-            if other.best_float > self.best_float:
-                self.best_float = other.best_float
+            rel = 1 if self.best is None else other.best.compare(self.best)
+            if rel < 0:
+                return
+            if rel > 0:
+                self.best, self.best_id = other.best, other.best_id
                 self.count, self.balanced, self.witnesses = 0, 0, []
-            self.count += other.count
-            self.balanced += other.balanced
-            self._add_witnesses(other.witnesses)
-            return
-        if other.best_key is None:
-            return
-        if self.best_key is None:
-            rel = 1
-        else:
-            rel = _cmp_keys(self.metric, other.best_key, self.best_key, self.n)
-        if rel < 0:
-            return
-        if rel > 0:
-            self.best_key = other.best_key
-            self.best_float = other.best_float
-            self.count, self.balanced, self.witnesses = 0, 0, []
         self.count += other.count
         self.balanced += other.balanced
         self._add_witnesses(other.witnesses)
@@ -605,17 +535,10 @@ def _orbit_kernel(family: str, n: int) -> _OrbitKernel:
 
 
 def _entropy_rows(c2: np.ndarray, n: int, sizes: np.ndarray | None = None) -> np.ndarray:
-    """Row entropies from squared correlations (exact in float64 below 2^53).
-
-    With ``sizes``, column p stands for sizes[p] spectral points. Its terms
-    are summed in sorted order, so functions whose class rows are
-    permutations of each other (e.g. under variable reversal) get the same
-    float and tie in the float-decided ``ei`` maximum.
-    """
+    """Float row entropies from squared correlations; column p stands for sizes[p] points."""
     c2_f = c2.astype(np.float64)
     terms = c2_f * np.log2(np.maximum(c2_f, 1.0))
-    total = terms.sum(axis=1) if sizes is None else np.sort(terms * sizes, axis=1).sum(axis=1)
-    return 2 * n - total / float(4**n)
+    return 2 * n - (terms.sum(axis=1) if sizes is None else terms @ sizes) / float(4**n)
 
 
 def _filter_rows(
@@ -691,7 +614,7 @@ def _eval_general_chunk(job: SearchJob, rep_start: int, rep_stop: int, agg: _Agg
                 c2[keep], corr0[keep], m_arr[keep], inf_arr[keep], ids[keep],
             )
         val = _metric_values(job.metric, c2, m_arr, inf_arr, n)
-        agg.update(ids, m_arr, inf_arr, val, corr0, nh * size, size, tab.orbit_ids)
+        agg.update(ids, m_arr, inf_arr, c2, val, corr0, nh * size, size, tab.orbit_ids)
 
 
 def _eval_orbit_chunk(job: SearchJob, id_start: int, id_stop: int, agg: _Agg) -> None:
@@ -713,7 +636,7 @@ def _eval_orbit_chunk(job: SearchJob, id_start: int, id_stop: int, agg: _Agg) ->
                 continue
             c2, corr0, m_arr, inf_arr, ids = c2[sel], corr0[sel], m_arr[sel], inf_arr[sel], ids[sel]
         val = _metric_values(job.metric, c2, m_arr, inf_arr, job.n, kernel.sizes)
-        agg.update(ids, m_arr, inf_arr, val, corr0, int(stop - start))
+        agg.update(ids, m_arr, inf_arr, c2, val, corr0, int(stop - start))
 
 
 def _unit_count(job: SearchJob) -> int:
@@ -730,7 +653,7 @@ def _chunk_ranges(job: SearchJob) -> list[tuple[int, int]]:
 
 
 def _run_chunk(job: SearchJob, chunk_idx: int) -> _Agg:
-    agg = _Agg(job.n, job.metric, job.target, job.threshold, job.witness_cap)
+    agg = _Agg(job)
     start, stop = _chunk_ranges(job)[chunk_idx]
     if job.family == "general":
         _eval_general_chunk(job, start, stop, agg)
@@ -743,7 +666,9 @@ def _run_chunk(job: SearchJob, chunk_idx: int) -> _Agg:
 
 
 def _record_struct(cap: int) -> struct.Struct:
-    return struct.Struct(f"<QQQQQdQQQ{cap}Q")
+    """A record without its trailing CRC32: chunk id, scanned, best id, count,
+    balanced, witness count and ``cap`` witness slots."""
+    return struct.Struct(f"<QQqQQQ{cap}Q")
 
 
 def resolve_checkpoint_path(path: str) -> str:
@@ -753,40 +678,33 @@ def resolve_checkpoint_path(path: str) -> str:
 
 
 def _write_header(fh, job: SearchJob) -> None:
-    rec = _record_struct(job.witness_cap)
+    rec_size = _record_struct(job.witness_cap).size + _CKPT_CRC.size
     fh.write(
-        _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, job.witness_cap, rec.size, 0, job.digest())
+        _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, job.witness_cap, rec_size, 0, job.digest())
     )
     fh.flush()
     os.fsync(fh.fileno())
 
 
 def _append_record(fh, job: SearchJob, chunk_idx: int, agg: _Agg) -> None:
-    rec = _record_struct(job.witness_cap)
-    wit = list(agg.witnesses[: job.witness_cap])
-    wit += [0] * (job.witness_cap - len(wit))
-    m, i = agg.best_key if agg.best_key is not None else (0, 0)
-    fh.write(
-        rec.pack(
-            chunk_idx,
-            agg.scanned,
-            1 if agg.best_key is not None else 0,
-            m,
-            i,
-            agg.best_float,
-            agg.count,
-            agg.balanced,
-            len(agg.witnesses),
-            *wit,
-        )
+    wit = agg.witnesses + [0] * (job.witness_cap - len(agg.witnesses))
+    body = _record_struct(job.witness_cap).pack(
+        chunk_idx, agg.scanned, agg.best_id, agg.count, agg.balanced, len(agg.witnesses), *wit
     )
+    fh.write(body + _CKPT_CRC.pack(zlib.crc32(body)))
     fh.flush()
     os.fsync(fh.fileno())
 
 
-def _load_checkpoint(path: str, job: SearchJob) -> dict[int, _Agg]:
-    rec = _record_struct(job.witness_cap)
-    done: dict[int, _Agg] = {}
+def _load_checkpoint(path: str, job: SearchJob) -> tuple[dict[int, _Agg], int]:
+    """The chunk outcomes recorded in ``path`` and the byte length of its intact part.
+
+    A torn last record (cut short, or failing its CRC) is dropped, so its
+    chunk runs again; a bad record before it or a repeated chunk id raises
+    ``CheckpointError``. The key of each record is rebuilt from its best id.
+    """
+    body = _record_struct(job.witness_cap)
+    size = body.size + _CKPT_CRC.size
     with open(path, "rb") as fh:
         header = fh.read(_CKPT_HEADER.size)
         if len(header) != _CKPT_HEADER.size:
@@ -798,46 +716,44 @@ def _load_checkpoint(path: str, job: SearchJob) -> dict[int, _Agg]:
             raise CheckpointError(
                 f"{path}: checkpoint format version {version}, this build reads version {_CKPT_VERSION}"
             )
-        if cap != job.witness_cap or rec_size != rec.size:
+        if cap != job.witness_cap or rec_size != size:
             raise CheckpointError(f"{path}: record layout does not match the job")
         if digest != job.digest():
             raise CheckpointError(f"{path}: checkpoint belongs to a different job")
-        while True:
-            blob = fh.read(rec.size)
-            if not blob:
-                break
-            if len(blob) != rec.size:
-                raise CheckpointError(f"{path}: truncated record")
-            fields = rec.unpack(blob)
-            chunk_idx, scanned, has_best, m, i, best_float, count, balanced, nwit = fields[:9]
-            wit = list(fields[9 : 9 + nwit])
-            agg = _Agg(job.n, job.metric, job.target, job.threshold, job.witness_cap)
-            agg.scanned = scanned
-            agg.best_key = (m, i) if has_best else None
-            agg.best_float = best_float if (has_best or job.metric == "ei") else -math.inf
-            agg.count = count
-            agg.balanced = balanced
-            agg.witnesses = wit
-            done[int(chunk_idx)] = agg
-    return done
+        data = fh.read()
+    done: dict[int, _Agg] = {}
+    for start in range(0, len(data), size):
+        blob = data[start : start + size]
+        if len(blob) < size or _CKPT_CRC.unpack(blob[-4:])[0] != zlib.crc32(blob[:-4]):
+            if start + size >= len(data):
+                break  # torn by an interrupted write
+            raise CheckpointError(f"{path}: record {start // size} fails its CRC check")
+        chunk_idx, scanned, best_id, count, balanced, nwit, *wit = body.unpack(blob[:-4])
+        if chunk_idx in done:
+            raise CheckpointError(f"{path}: chunk {chunk_idx} is recorded twice")
+        best = _function_key(job, best_id)[2] if best_id >= 0 else None
+        done[chunk_idx] = _Agg(
+            job, scanned, best, best_id, count=count, balanced=balanced, witnesses=wit[:nwit]
+        )
+    return done, _CKPT_HEADER.size + len(done) * size
 
 
 # --- Driver -------------------------------------------------------------------------
 
 
 def _finalize(job: SearchJob, chunks: dict[int, _Agg], elapsed: float, resumed: int) -> SearchResult:
-    total = _Agg(job.n, job.metric, job.target, job.threshold, job.witness_cap)
+    total = _Agg(job)
     for idx in sorted(chunks):
         total.merge(chunks[idx])
-    best_ratio = None
-    max_corr_sq = influence_numerator = None
-    if job.target == "maximize":
-        if job.metric == "ei":
-            if total.best_float != -math.inf:
-                best_ratio = ExactValue.from_float(total.best_float)
-        elif total.best_key is not None:
-            best_ratio = _key_value(job.metric, total.best_key, job.n)
-            max_corr_sq, influence_numerator = total.best_key
+    best_ratio = max_corr_sq = influence_numerator = None
+    if total.best is not None:
+        exact = total.best.rational
+        if job.metric == "ei" or exact is None:  # ei ratios are reported in binary64
+            best_ratio = ExactValue.from_float(total.best.value)
+        else:
+            best_ratio = ExactValue.from_fraction(exact)
+        if job.metric != "ei":
+            max_corr_sq, influence_numerator, _ = _function_key(job, total.best_id)
     witnesses = tuple(expand_witness(job, w).to_hex() for w in total.witnesses)
     return SearchResult(
         job=job,
@@ -886,7 +802,8 @@ def sweep(
     if job.checkpoint_path is not None:
         ckpt_path = resolve_checkpoint_path(job.checkpoint_path)
         if os.path.exists(ckpt_path):
-            done = _load_checkpoint(ckpt_path, job)
+            done, intact = _load_checkpoint(ckpt_path, job)
+            os.truncate(ckpt_path, intact)  # new records follow the last intact one
             ckpt_fh = open(ckpt_path, "ab")
         else:
             ckpt_fh = open(ckpt_path, "wb")
@@ -951,16 +868,6 @@ class ConjectureCheck:
     counterexample: str | None
 
 
-def _mp_ei(c2: np.ndarray, sizes: np.ndarray, infnum: int, n: int) -> mpmath.mpf:
-    tot = mpmath.mpf(4) ** n
-    h = mpmath.mpf(0)
-    for v, count in zip(c2.tolist(), sizes.tolist()):
-        if v:
-            h += count * mpmath.mpf(v) * mpmath.log(v, 2)
-    h = 2 * n - h / tot
-    return h * tot / infnum
-
-
 def check_conjecture(ns: Iterable[int]) -> list[ConjectureCheck]:
     """Exhaustively test both symmetric-function ratio claims for each arity.
 
@@ -968,8 +875,8 @@ def check_conjecture(ns: Iterable[int]) -> list[ConjectureCheck]:
     ratio, uniquely up to input/output complementation (which preserves
     squared spectra), and its ratio is below 4. Claim 2: the min-entropy/
     influence ratio never exceeds 2, with equality exactly at bent functions
-    (even n) and strictly below 2 for odd n. A counterexample is reported as
-    a result, not an error.
+    (even n) and strictly below 2 for odd n. Both are decided on exact keys.
+    A counterexample is reported as a result, not an error.
     """
     out = []
     for n in ns:
@@ -980,85 +887,40 @@ def check_conjecture(ns: Iterable[int]) -> list[ConjectureCheck]:
 
 
 def _check_one(n: int) -> ConjectureCheck:
-    size = 1 << n
-    tot = float(4**n)
     kernel = _orbit_kernel("symmetric", n)
-    corr = kernel.spectra(np.arange(1 << (n + 1)))
-    c2_rows = corr * corr
-    H = _entropy_rows(c2_rows, n, kernel.sizes)
-    infnum = c2_rows @ (kernel.sizes * kernel.weights)
-    m_arr = c2_rows.max(axis=1)
-    bent = (c2_rows == size).all(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ei = np.where(infnum > 0, H * tot / infnum, -np.inf)
-        mei = np.where(infnum > 0, (2 * n - np.log2(m_arr.astype(float))) * tot / infnum, -np.inf)
+    ids = np.arange(1 << (n + 1), dtype=np.int64)
+    corr = kernel.spectra(ids)
+    c2 = corr * corr
+    infnum = c2 @ (kernel.sizes * kernel.weights)
+    m_arr = c2.max(axis=1)
+    top = {}
+    for metric in ("ei", "mei"):
+        job = SearchJob("symmetric", n, metric, witness_cap=ids.size)
+        top[metric] = agg = _Agg(job)
+        val = _metric_values(metric, c2, m_arr, infnum, n, kernel.sizes)
+        agg.update(ids, m_arr, infnum, c2, val, corr[:, 0], ids.size)
     and_id = and_function(n).value_vector
-    and_c2 = c2_rows[and_id]
-    and_ei = float(ei[and_id])
-    and_below_4 = and_ei < 4.0 - 1e-9
-    counterexample = None
-
-    ei_max = float(ei.max())
-    cand = np.nonzero(ei >= ei_max - _FLOAT_TOL)[0]
-    achievers = 0
-    all_conjugate = True
-    with mpmath.workdps(60):
-        and_mp = _mp_ei(and_c2, kernel.sizes, int(infnum[and_id]), n)
-        for vid in cand:
-            c2 = c2_rows[vid]
-            if np.array_equal(c2, and_c2):
-                achievers += 1
-                continue
-            other = _mp_ei(c2, kernel.sizes, int(infnum[vid]), n)
-            if other >= and_mp - mpmath.mpf(10) ** -40:
-                all_conjugate = False
-                counterexample = SymmetricFunction(n, int(vid)).expand().to_hex()
-    ei_part = all_conjugate and abs(ei_max - and_ei) <= _FLOAT_TOL and and_below_4
-
-    mei_max = float(mei.max())
-    mei_part = True
-    bent_achievers = int(np.count_nonzero(bent))
-    if n % 2 == 0 and bent_achievers:
-        # every bent row must sit exactly at 2, everything else strictly below
-        bent_exact = bool(
-            (m_arr[bent] == size).all() and (2 * infnum[bent] == n * 4**n).all()
-        )
-        mei_part &= bent_exact
-        rest = np.nonzero(~bent)[0]
-        strict = _all_mei_strictly_below(rest, mei, m_arr, infnum, n, 2)
-    else:
-        bent_achievers = 0
-        strict = _all_mei_strictly_below(np.arange(mei.size), mei, m_arr, infnum, n, 2)
-    if strict is not True:
-        mei_part = False
-        counterexample = SymmetricFunction(n, int(strict)).expand().to_hex()
-
+    and_key = _function_key(top["ei"].job, and_id)[2]
+    and_below_4 = and_key < LogLinear.of(4, {}, 1)
+    # every achiever must share the conjunction's squared spectrum
+    strangers = [w for w in top["ei"].witnesses if not np.array_equal(c2[w], c2[and_id])]
+    # the min-entropy maximum is exactly 2 at the bent functions (even n), else below 2
+    bent = np.flatnonzero((c2 == 1 << n).all(axis=1)).tolist()
+    mei = top["mei"]
+    two = LogLinear.of(2, {}, 1)
+    mei_part = mei.best == two and mei.witnesses == bent if bent else mei.best < two
+    bad = strangers[:1] if mei_part else sorted(set(mei.witnesses) - set(bent))[:1]
+    counterexample = SymmetricFunction(n, bad[0]).expand().to_hex() if bad else None
     return ConjectureCheck(
         n=n,
-        and_ei_ratio=and_ei,
+        and_ei_ratio=and_key.value,
         and_ratio_below_4=and_below_4,
-        ei_max=ei_max,
-        ei_achievers=achievers,
-        ei_achievers_conjugate_to_and=all_conjugate,
-        mei_max=mei_max,
+        ei_max=top["ei"].best.value,
+        ei_achievers=top["ei"].count,
+        ei_achievers_conjugate_to_and=not strangers,
+        mei_max=mei.best.value,
         mei_claim_holds=mei_part,
-        bent_achievers=bent_achievers,
-        passed=ei_part and mei_part,
+        bent_achievers=len(bent),
+        passed=not strangers and and_below_4 and mei_part,
         counterexample=counterexample,
     )
-
-
-def _all_mei_strictly_below(rows, mei, m_arr, infnum, n, bound: int):
-    """True when every row's mei ratio is strictly below the bound; else a row id."""
-    near = rows[mei[rows] >= bound - _FLOAT_TOL]
-    for r in near:
-        m, i = int(m_arr[r]), int(infnum[r])
-        j = _dyadic_log2(m)
-        if j is not None:
-            if Fraction((2 * n - j) * 4**n, i) >= bound:
-                return int(r)
-        else:
-            with mpmath.workdps(60):
-                if (2 * n - mpmath.log(m, 2)) * mpmath.mpf(4**n) / i >= bound:
-                    return int(r)
-    return True

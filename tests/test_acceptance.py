@@ -186,11 +186,10 @@ def test_criterion_7_rotsym_maxima():
     ei7 = sweep_rotsym(7, "ei", threads=1).best_ratio.value
     mei7 = sweep_rotsym(7, "mei", threads=1).best_ratio.value
     secs7 = time.perf_counter() - t0
+    # each value is the exact maximum, correctly rounded, so its decimals match the paper's
     ok = (
-        abs(ei6 - 3.739764) < 1e-6
-        and abs(mei6 - 2.168978) < 1e-6
-        and abs(ei7 - 3.804357) < 1e-6
-        and abs(mei7 - 2.227449) < 1e-6
+        [f"{v:.6f}" for v in (ei6, mei6, ei7, mei7)]
+        == ["3.739764", "2.168978", "3.804357", "2.227449"]
         and secs6 < 5
         and secs7 < 600
     )

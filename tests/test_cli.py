@@ -120,6 +120,15 @@ def test_search_rotsym(capsys):
     assert "chunk" in err  # progress goes to stderr
 
 
+def test_search_ei_count_achieving(capsys):
+    code, out, _ = run_cli(
+        capsys, "search", "general", "--n", "4", "--metric", "ei", "--filter", "balanced",
+        "--count-achieving", "2", "--threads", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["count_achieving"] == 192
+
+
 def test_search_count_achieving(capsys):
     code, out, _ = run_cli(
         capsys, "search", "general", "--n", "3", "--metric", "mei",

@@ -4,6 +4,7 @@ import pytest
 from walshlab.core import (
     AnfParseError,
     DenseCapExceeded,
+    Spectrum,
     TruthTable,
     dense_cap,
     fwht_inplace,
@@ -183,6 +184,11 @@ def test_parseval_random(rng):
             assert s.parseval_holds()
             assert int(np.abs(s.corr).max()) <= s.size
             assert not np.any(s.corr & 1)
+
+
+def test_parseval_does_not_wrap():
+    # 2^64 + 16 wraps to 16 = 4^2 in an int64 dot product
+    assert not Spectrum(2, np.array([2**32, 0, 0, 4])).parseval_holds()
 
 
 def test_butterfly_involution(rng):

@@ -1,18 +1,22 @@
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from walshlab.core import Spectrum, TruthTable, popcounts, table_from_anf, walsh_transform
 from walshlab.metrics import (
     ExactValue,
+    LogLinear,
     MetricsReport,
     SpectrumError,
     classify,
     entropy,
     influence_probe,
     influence_spectral,
+    log2_terms,
     min_entropy,
     ratio,
     resilience_order,
@@ -307,3 +311,48 @@ def test_ratio_helper():
     assert v.rational == 2
     w = ratio(ExactValue.from_float(1.0), ExactValue.from_fraction(2))
     assert not w.exact and w.value == 0.5
+
+
+def _mp_value(k: LogLinear):
+    with mpmath.workprec(400):
+        return (k.const + sum(e * mpmath.log(p, 2) for p, e in k.logs)) / k.den
+
+
+def test_log_linear_lowest_terms():
+    a = LogLinear.of(10, {3: 6, 5: 0, 7: -14}, 14)
+    assert a == LogLinear(5, ((3, 3), (7, -7)), 7) == LogLinear.of(-5, {3: -3, 7: 7}, -7)
+    assert a.rational is None and a.compare(LogLinear.of(-5, {3: -3, 7: 7}, -7)) == 0
+    assert LogLinear.of(6, {}, 4).rational == Fraction(3, 2)
+    assert log2_terms(360) == (3, ((3, 2), (5, 1)))
+    assert log2_terms(65521) == (0, ((65521, 1),))
+
+
+def test_log_linear_value_is_correctly_rounded():
+    rng = random.Random(7)
+    primes = (3, 5, 7, 31, 257, 65521)
+    for _ in range(500):
+        logs = {p: rng.randint(-(10**12), 10**12) for p in rng.sample(primes, rng.randint(1, 3))}
+        k = LogLinear.of(rng.randint(-(10**13), 10**13), logs, rng.randint(1, 10**12))
+        assert k.value == float(_mp_value(k)), k
+
+
+def test_log_linear_order_is_exact():
+    rng = random.Random(8)
+    for _ in range(500):
+        a = LogLinear.of(rng.randint(-60, 60), {3: rng.randint(-4, 4), 5: rng.randint(-4, 4)}, 7)
+        b = LogLinear.of(rng.randint(-60, 60), {3: rng.randint(-4, 4), 7: rng.randint(-4, 4)}, 9)
+        va, vb = _mp_value(a), _mp_value(b)
+        want = 0 if a == b else (1 if va > vb else -1)
+        assert a.compare(b) == want == -b.compare(a)
+    # pairs 2^-70 and 2^-60 apart, equal as binary64: the enclosures decide
+    for a, b in (
+        (LogLinear.of(0, {3: 1}, 1), LogLinear.of(1, {3: 2**70}, 2**70)),
+        (
+            LogLinear.of(3 * 2**60, {3: -(2**60)}, 2**60),
+            LogLinear.of(3 * 2**60 + 1, {3: -(2**60)}, 2**60),
+        ),
+    ):
+        assert a.value == b.value
+        assert a.compare(b) == -1 and b.compare(a) == 1 and a < b and b > a
+    one, log3, two = LogLinear.of(1, {}, 1), LogLinear.of(0, {3: 1}, 1), LogLinear.of(2, {}, 1)
+    assert max([one, log3, two]) == two and max([one, log3]) == log3

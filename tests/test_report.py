@@ -1,7 +1,9 @@
 import json
 from fractions import Fraction
 
-from walshlab.core import table_from_anf, walsh_transform
+import numpy as np
+
+from walshlab.core import Spectrum, table_from_anf, walsh_transform
 from walshlab.construct import gb_construction_report
 from walshlab.metrics import ExactValue, classify
 from walshlab.report import (
@@ -71,6 +73,11 @@ def test_spectrum_csv_dictator():
     assert lines[1] == "0,0,0,0/1"
     assert lines[2] == "1,1,2,1/1"
     assert lines[3] == "PARSEVAL,,4,1"
+
+
+def test_spectrum_csv_parseval_does_not_wrap():
+    lines = spectrum_to_csv(Spectrum(2, np.array([2**32, 0, 0, 4]))).strip().split("\n")
+    assert lines[-1] == f"PARSEVAL,,{2**64 + 16},{2**60 + 1}"
 
 
 def test_spectrum_csv_quintic_witness():

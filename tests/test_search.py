@@ -16,6 +16,7 @@ from walshlab.search import (
     SymmetricFunction,
     _general_tables,
     _orbit_kernel,
+    _ratio_key,
     and_function,
     check_conjecture,
     necklaces,
@@ -250,6 +251,44 @@ def test_count_achieving_misses_everything():
     assert ct.count_achieving == 0
 
 
+def test_ei_count_is_exact():
+    balanced = ("balanced",)
+    mx = sweep(SearchJob("general", 4, metric="ei", filters=balanced), threads=1)
+    assert mx.best_ratio.value == 2.0 and mx.witness_total == 192
+    job = SearchJob("general", 4, "ei", balanced, target="count", threshold=Fraction(2))
+    ct = sweep(job, threads=1)
+    assert ct.count_achieving == 192 and ct.balanced_at_best == 192
+    # the unfiltered maximum is irrational: its binary64 value, a rational, is never hit
+    top = sweep(SearchJob("general", 4, metric="ei"), threads=1)
+    assert top.witness_total == 32
+    near = Fraction(top.best_ratio.value)
+    job = SearchJob("general", 4, metric="ei", target="count", threshold=near)
+    assert sweep(job, threads=1).count_achieving == 0
+
+
+def dense_key(metric: str, f: TruthTable):
+    c = walsh_transform(f).corr
+    c2 = c * c
+    row = tuple(c2.tolist()) if metric == "ei" else (int(c2.max()),)
+    return _ratio_key(metric, f.n, int(c2 @ popcounts(c.size)), row, (1,) * c.size)
+
+
+def test_key_invariant_under_symmetries():
+    # permuting variables reorders the spectrum; the array-order float sum moved with it
+    rng = np.random.default_rng(5)
+    for n in range(5, 9):
+        x = np.arange(1 << n)
+        for _ in range(40):
+            bits = rng.integers(0, 2, 1 << n)
+            perm = rng.permutation(n)
+            permuted = sum(((x >> i) & 1) << int(perm[i]) for i in range(n))
+            images = (bits[permuted], bits[x ^ int(rng.integers(1 << n))], 1 - bits)
+            for metric in ("ei", "mei"):
+                key = dense_key(metric, TruthTable.from_array(bits, n))
+                for image in images:
+                    assert dense_key(metric, TruthTable.from_array(image, n)) == key
+
+
 def test_ot1_metric_count():
     # balanced 2-var functions whose largest squared value sits on weight 1
     # are the four dictator-like functions; their one-step ratio is exactly 0
@@ -316,10 +355,8 @@ def test_determinism_ei_metric():
 # --- checkpoints -----------------------------------------------------------------------
 
 
-def test_checkpoint_resume(tmp_path, monkeypatch):
-    path = str(tmp_path / "sweep.ck")
-    job = SearchJob("general", 4, metric="mei", chunk_bits=3, checkpoint_path=path)
-
+def _crash_after(job: SearchJob, chunks: int, monkeypatch) -> None:
+    """Run ``job`` until ``chunks`` chunks are checkpointed, then crash it."""
     import walshlab.search as search_mod
 
     original = search_mod._run_chunk
@@ -327,7 +364,7 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
 
     def flaky(j, idx):
         calls["n"] += 1
-        if calls["n"] > 3:
+        if calls["n"] > chunks:
             raise RuntimeError("simulated crash")
         return original(j, idx)
 
@@ -336,11 +373,68 @@ def test_checkpoint_resume(tmp_path, monkeypatch):
         sweep(job, threads=1)
     monkeypatch.setattr(search_mod, "_run_chunk", original)
 
+
+def test_checkpoint_resume(tmp_path, monkeypatch):
+    path = str(tmp_path / "sweep.ck")
+    job = SearchJob("general", 4, metric="mei", chunk_bits=3, checkpoint_path=path)
+    _crash_after(job, 3, monkeypatch)
     resumed = sweep(job, threads=1)
     assert resumed.resumed_chunks == 3
     plain = sweep(SearchJob("general", 4, metric="mei", chunk_bits=3), threads=1)
     a, b = search_result_canonical(resumed), search_result_canonical(plain)
     assert a == b
+
+
+@pytest.mark.parametrize("family, n", [("general", 4), ("rotsym", 6)])
+def test_checkpoint_resume_ei(tmp_path, monkeypatch, family, n):
+    # a resumed chunk rebuilds its exact key from the recorded best function id
+    job = SearchJob(family, n, metric="ei", chunk_bits=3, checkpoint_path=str(tmp_path / "ei.ck"))
+    _crash_after(job, 3, monkeypatch)
+    resumed = sweep(job, threads=1)
+    assert resumed.resumed_chunks == 3
+    plain = sweep(SearchJob(family, n, metric="ei", chunk_bits=3), threads=1)
+    assert search_result_canonical(resumed) == search_result_canonical(plain)
+
+
+def _checkpointed(tmp_path):
+    """A finished n=4 sweep (8 chunks), its checkpoint path and the record size."""
+    path = tmp_path / "sweep.ck"
+    job = SearchJob("general", 4, metric="mei", chunk_bits=3, checkpoint_path=str(path))
+    result = sweep(job, threads=1)
+    return job, path, result, _CKPT_HEADER.unpack_from(path.read_bytes())[3]
+
+
+@pytest.mark.parametrize("damage", ["cut", "flip"])
+def test_checkpoint_torn_last_record_reruns(tmp_path, damage):
+    job, path, fresh, rec_size = _checkpointed(tmp_path)
+    intact = path.read_bytes()
+    data = bytearray(intact)
+    if damage == "cut":
+        del data[-5:]
+    else:
+        data[-rec_size] ^= 1  # the chunk id of the last record
+    path.write_bytes(bytes(data))
+    resumed = sweep(job, threads=1)
+    assert resumed.resumed_chunks == 7
+    assert search_result_canonical(resumed) == search_result_canonical(fresh)
+    assert path.read_bytes() == intact  # the torn bytes were replaced, not appended to
+
+
+def test_checkpoint_bad_record_mid_file(tmp_path):
+    job, path, _, _ = _checkpointed(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[_CKPT_HEADER.size + 24] ^= 1  # one bit of the count field of record 0
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="record 0 fails its CRC check"):
+        sweep(job, threads=1)
+
+
+def test_checkpoint_duplicate_chunk_rejected(tmp_path):
+    job, path, _, rec_size = _checkpointed(tmp_path)
+    data = path.read_bytes()
+    path.write_bytes(data + data[_CKPT_HEADER.size : _CKPT_HEADER.size + rec_size])
+    with pytest.raises(CheckpointError, match="chunk 0 is recorded twice"):
+        sweep(job, threads=1)
 
 
 def test_checkpoint_corruption(tmp_path):
@@ -354,16 +448,16 @@ def test_checkpoint_corruption(tmp_path):
 
 
 def test_checkpoint_old_version_rejected(tmp_path):
-    # version 1 indexed general-family chunks by low half, not by orbit representative
+    # version 2 records held the running-maximum key and no CRC
     path = tmp_path / "sweep.ck"
     job = SearchJob("general", 3, metric="mei", chunk_bits=2, checkpoint_path=str(path))
     sweep(job, threads=1)
     data = bytearray(path.read_bytes())
     magic, version, cap, rec_size, pad, digest = _CKPT_HEADER.unpack_from(data)
-    assert version == 2 and digest == job.digest()
-    _CKPT_HEADER.pack_into(data, 0, magic, 1, cap, rec_size, pad, digest)
+    assert version == 3 and digest == job.digest()
+    _CKPT_HEADER.pack_into(data, 0, magic, 2, cap, rec_size, pad, digest)
     path.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError, match="version 1"):
+    with pytest.raises(CheckpointError, match="version 2, this build reads version 3"):
         sweep(job, threads=1)
     assert path.read_bytes() == bytes(data)
 

@@ -21,7 +21,15 @@ functions are constant on input orbits (weight classes, necklaces), so their
 spectra are constant on the same orbits: one orbit-class matrix per (family,
 n) turns each function's orbit sign vector into its correlations at the
 orbit representatives, and every metric and filter reads those class columns
-weighted by orbit size.
+weighted by orbit size. These families are swept one function orbit at a
+time too: input complement, the variable maps i -> k*i mod n (k coprime to
+n, rotation symmetric only) and output complement permute the orbit bits of
+a function id and move its squared correlations only between points of equal
+weight, so the sweep scans the smallest id of each orbit (55,232 of 2^20
+rotation symmetric functions at n=7), weighted by orbit size, and maps the
+achievers through the group. One helper (``_IdOrbits``) finds every
+family's representatives; it stores a group as two lookup tables per element
+over the halves of the id bits.
 
 Aggregation is associative and exact. Every ratio of a function is an exact
 ``LogLinear`` key (K + sum of e_p * log2 p) / D with integers K, e_p, D, built
@@ -67,10 +75,14 @@ ROTSYM_N_MAX = 7
 # row at the exact maximum or threshold is dropped.
 _FLOAT_TOL = 1e-9
 _BATCH_CELLS = 1 << 18  # orbit-kernel cells (functions x orbits) per batch
+# group elements x ids per block while finding orbit representatives: 64-96 KiB
+# blocks stay below the usual 128 KiB malloc mmap threshold, so freeing them does
+# not raise it and leave freed heap resident (peak RSS)
+_ORBIT_BLOCK_CELLS = 1 << 14
 
 CHECKPOINT_DIR_ENV = "WALSHLAB_CHECKPOINT_DIR"
 _CKPT_MAGIC = b"WLSWEEP1"
-_CKPT_VERSION = 3  # 3: records carry a CRC32 and the best function id instead of its key
+_CKPT_VERSION = 4  # 4: symmetric and rotsym chunk ids index function-orbit representatives
 _CKPT_HEADER = struct.Struct("<8sIIII16s")
 _CKPT_CRC = struct.Struct("<I")
 
@@ -144,6 +156,10 @@ class RotSymFunction:
 
     n: int
     necklace_values: int
+
+    def __post_init__(self):
+        if not 0 <= self.necklace_values < 1 << len(necklaces(self.n)[0]):
+            raise ValueError("necklace values need exactly one bit per necklace")
 
     def expand(self) -> TruthTable:
         reps, orbit = necklaces(self.n)
@@ -347,22 +363,23 @@ class _Agg:
     def update(
         self,
         ids: np.ndarray,
+        sizes: np.ndarray | int,
         m_arr: np.ndarray,
         inf_arr: np.ndarray,
         c2: np.ndarray | None,
         val: np.ndarray,
         corr0: np.ndarray,
         scanned: int,
-        size: int = 1,
         orbit_ids: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
         """Fold in one batch of rows.
 
         ``val`` holds the float ratios, which only pick candidate rows; ``c2``
         (needed for ``ei``) the squared correlations the exact keys are built
-        from. Each row stands for ``size`` functions with the same metric
-        values and the same balancedness; ``orbit_ids`` maps achieving ids to
-        all of those functions, so the witnesses stay the smallest ids overall.
+        from. Row i stands for ``sizes[i]`` functions (or ``sizes`` for every
+        row) with the same metric values and the same balancedness;
+        ``orbit_ids`` maps achieving ids to all of those functions, so the
+        witnesses stay the smallest ids overall.
         """
         self.scanned += scanned
         if ids.size == 0:
@@ -373,8 +390,13 @@ class _Agg:
             rows = self._max_rows(ids, m_arr, inf_arr, c2, val)
         if rows is None or rows.size == 0:
             return
-        self.count += size * int(rows.size)
-        self.balanced += size * int(np.count_nonzero(corr0[rows] == 0))
+        zero = corr0[rows] == 0
+        if isinstance(sizes, np.ndarray):
+            self.count += int(sizes[rows].sum())
+            self.balanced += int(sizes[rows] @ zero)
+        else:
+            self.count += sizes * int(rows.size)
+            self.balanced += sizes * int(np.count_nonzero(zero))
         if self.job.witness_cap:
             hit = ids[rows]
             self._add_witnesses(hit if orbit_ids is None else orbit_ids(hit))
@@ -435,6 +457,55 @@ class _Agg:
 # --- Evaluation kernels -----------------------------------------------------------
 
 @dataclass(frozen=True)
+class _IdOrbits:
+    """Orbits of a group on b-bit ids; each element permutes the bits, then may complement them.
+
+    The image of id (u << half) | v under element g is lo[g, v] ^ hi[g, u]
+    (a complement is folded into ``lo``), so the group is stored as two small
+    tables per element instead of |G| x 2^b images.
+    """
+
+    half: int
+    lo: np.ndarray
+    hi: np.ndarray
+    reps: np.ndarray  # the smallest id of each orbit, ascending
+    sizes: np.ndarray  # orbit size of each representative
+
+    def images(self, ids: np.ndarray) -> np.ndarray:
+        """images[g, i] = ids[i] under element g, in int32."""
+        return self.lo[:, ids & ((1 << self.half) - 1)] ^ self.hi[:, ids >> self.half]
+
+
+def _id_orbits(perms: np.ndarray, flips: np.ndarray) -> _IdOrbits:
+    """Orbits of the group whose element g moves bit perms[g, j] of an id to bit j,
+    then complements the id if flips[g]."""
+    order, bits = perms.shape
+    half = bits // 2
+    target = np.argsort(perms, axis=1).astype(np.int32)  # target[g, s] = where g moves bit s
+
+    def table(first: int, width: int) -> np.ndarray:
+        """Images of the ids whose set bits all lie in first..first+width-1."""
+        v = np.arange(1 << width, dtype=np.int32)
+        out = np.zeros((order, v.size), dtype=np.int32)
+        for j in range(width):
+            out |= ((v >> j) & 1) << target[:, first + j, None]
+        return out
+
+    lo = table(0, half) ^ np.where(flips, (1 << bits) - 1, 0).astype(np.int32)[:, None]
+    hi = table(half, bits - half)
+    step = max(1, (_ORBIT_BLOCK_CELLS // order) >> half)  # high parts per block
+    reps, sizes = [], []
+    for u in range(0, hi.shape[1], step):
+        img = (hi[:, u : u + step, None] ^ lo[:, None, :]).reshape(order, -1)
+        ids = np.arange(u << half, (u << half) + img.shape[1], dtype=np.int32)
+        is_rep = img.min(axis=0) == ids
+        reps.append(ids[is_rep])
+        stabiliser = np.count_nonzero(img[:, is_rep] == ids[is_rep], axis=0)
+        sizes.append((order // stabiliser).astype(np.int32))
+    return _IdOrbits(half, lo, hi, np.concatenate(reps), np.concatenate(sizes))
+
+
+@dataclass(frozen=True)
 class _HalfTables:
     """Half-table spectra of the general family and the symmetry group on halves.
 
@@ -450,7 +521,7 @@ class _HalfTables:
     T: np.ndarray  # T[x] = correlations of half table x
     W: np.ndarray  # W[x] = sum over a of weight(a) * T[x, a]^2
     wt_half: np.ndarray  # Hamming weight of each half-table point
-    images: np.ndarray  # images[g, x] = half table x under group element g
+    images: np.ndarray  # images[b*h + t, x] = half table x translated by t, complemented if b
     reps: np.ndarray  # the smallest half table of each orbit, ascending
     sizes: np.ndarray  # orbit size of each representative
 
@@ -469,24 +540,20 @@ def _general_tables(n: int) -> _HalfTables:
         return cached
     h = 1 << (n - 1)
     nh = 1 << h
-    idx = np.arange(nh, dtype=np.int64)
     points = np.arange(h, dtype=np.int64)
-    bits = (idx[:, None] >> points) & 1
-    T = fwht_inplace(1 - 2 * bits)
+    T = fwht_inplace(1 - 2 * ((np.arange(nh, dtype=np.int64)[:, None] >> points) & 1))
     wt_half = popcounts(h)
-    translated = np.stack([(bits[:, points ^ t] << points).sum(axis=1) for t in range(h)])
-    images = np.concatenate([translated, translated ^ (nh - 1)])
-    reps = np.nonzero(images.min(axis=0) == idx)[0]
-    stabiliser = (images[:, reps] == reps).sum(axis=0)
+    translations = np.tile(points[None, :] ^ points[:, None], (2, 1))
+    orbits = _id_orbits(translations, np.repeat([False, True], h))
     cached = _HalfTables(
         h=h,
         nh=nh,
         T=T,
         W=(T * T) @ wt_half,
         wt_half=wt_half,
-        images=images,
-        reps=reps,
-        sizes=images.shape[0] // stabiliser,
+        images=orbits.images(np.arange(nh)).astype(np.int64),
+        reps=orbits.reps,
+        sizes=orbits.sizes,
     )
     _GENERAL_TABLES[n] = cached
     return cached
@@ -498,12 +565,16 @@ class _OrbitKernel:
 
     The family's functions are constant on the orbits of a group that also
     acts on the spectral points, so a spectrum is constant on the same
-    orbits: c(rep_p) = sum over orbits o of (-1)^f(o) * M[o, p].
+    orbits: c(rep_p) = sum over orbits o of (-1)^f(o) * M[o, p]. Input maps
+    that permute the input orbits and keep every squared correlation up to a
+    weight-preserving reordering, with output complement, act on function
+    ids; ``orbits`` holds the function orbits they form.
     """
 
     M: np.ndarray  # M[o, p] = sum of (-1)^(x . rep_p) over the x in orbit o
     sizes: np.ndarray  # points per orbit
     weights: np.ndarray  # Hamming weight shared by an orbit's points
+    orbits: _IdOrbits  # function orbits under the family's input maps and output complement
 
     def spectra(self, ids: np.ndarray) -> np.ndarray:
         """Correlations of functions ``ids`` (bit o = value on orbit o) at the representatives."""
@@ -525,10 +596,19 @@ def _orbit_kernel(family: str, n: int) -> _OrbitKernel:
         reps, orbit = necklaces(n)
     reps = np.asarray(reps, dtype=np.int64)
     indicators = (orbit[None, :] == np.arange(reps.size)[:, None]).astype(np.int64)
+    # Input maps: variable i -> k*i mod n for k coprime to n (these take rotations
+    # to rotations; every k fixes the weight classes, so symmetric functions take
+    # k = 1 only), each with and without input complement. Function id bit o
+    # takes the bit of the orbit its representative is mapped to.
+    points = np.arange(n)
+    mults = [k for k in range(1, n + 1) if math.gcd(k, n) == 1] if family == "rotsym" else [1]
+    moved = [(((reps[:, None] >> points) & 1) << (k * points % n)).sum(axis=1) for k in mults]
+    perms = np.array([orbit[x ^ c] for x in moved for c in (0, (1 << n) - 1)])
     kernel = _OrbitKernel(
         M=fwht_inplace(indicators)[:, reps],
         sizes=np.bincount(orbit, minlength=reps.size),
         weights=wt[reps],
+        orbits=_id_orbits(np.repeat(perms, 2, axis=0), np.tile([False, True], perms.shape[0])),
     )
     _ORBIT_KERNELS[(family, n)] = kernel
     return kernel
@@ -614,16 +694,18 @@ def _eval_general_chunk(job: SearchJob, rep_start: int, rep_stop: int, agg: _Agg
                 c2[keep], corr0[keep], m_arr[keep], inf_arr[keep], ids[keep],
             )
         val = _metric_values(job.metric, c2, m_arr, inf_arr, n)
-        agg.update(ids, m_arr, inf_arr, c2, val, corr0, nh * size, size, tab.orbit_ids)
+        agg.update(ids, size, m_arr, inf_arr, c2, val, corr0, nh * size, tab.orbit_ids)
 
 
-def _eval_orbit_chunk(job: SearchJob, id_start: int, id_stop: int, agg: _Agg) -> None:
+def _eval_orbit_chunk(job: SearchJob, rep_start: int, rep_stop: int, agg: _Agg) -> None:
+    """Scan function-orbit representatives rep_start..rep_stop-1, in batches."""
     kernel = _orbit_kernel(job.family, job.n)
     influence_cols = kernel.sizes * kernel.weights
     rows_per_batch = max(1, _BATCH_CELLS // kernel.sizes.size)
-    for start in range(id_start, id_stop, rows_per_batch):
-        stop = min(start + rows_per_batch, id_stop)
-        ids = np.arange(start, stop, dtype=np.int64)
+    for start in range(rep_start, rep_stop, rows_per_batch):
+        stop = min(start + rows_per_batch, rep_stop)
+        ids, sizes = kernel.orbits.reps[start:stop], kernel.orbits.sizes[start:stop]
+        scanned = int(sizes.sum())
         corr = kernel.spectra(ids)
         c2 = corr * corr
         corr0 = corr[:, 0]
@@ -632,17 +714,19 @@ def _eval_orbit_chunk(job: SearchJob, id_start: int, id_stop: int, agg: _Agg) ->
         if job.filters:
             sel = np.nonzero(_filter_rows(c2, corr0, m_arr, kernel.weights, job.parsed_filters))[0]
             if sel.size == 0:
-                agg.scanned += int(ids.size)
+                agg.scanned += scanned
                 continue
-            c2, corr0, m_arr, inf_arr, ids = c2[sel], corr0[sel], m_arr[sel], inf_arr[sel], ids[sel]
+            c2, corr0, m_arr, inf_arr = c2[sel], corr0[sel], m_arr[sel], inf_arr[sel]
+            ids, sizes = ids[sel], sizes[sel]
         val = _metric_values(job.metric, c2, m_arr, inf_arr, job.n, kernel.sizes)
-        agg.update(ids, m_arr, inf_arr, c2, val, corr0, int(stop - start))
+        agg.update(ids, sizes, m_arr, inf_arr, c2, val, corr0, scanned, kernel.orbits.images)
 
 
 def _unit_count(job: SearchJob) -> int:
+    """Work units of the job: the orbit representatives of its family's tables."""
     if job.family == "general":
         return int(_general_tables(job.n).reps.size)
-    return 1 << _orbit_kernel(job.family, job.n).sizes.size
+    return int(_orbit_kernel(job.family, job.n).orbits.reps.size)
 
 
 def _chunk_ranges(job: SearchJob) -> list[tuple[int, int]]:
@@ -785,17 +869,18 @@ def sweep(
 
     The outcome is a pure function of the job: worker count, chunk layout,
     and resume points cannot change it. Every arity within the family's
-    bound (see :class:`SearchJob`) is accepted. General-family work units
-    are the orbit representatives of the low half: each one is scanned
-    against every high half, and its rows count once per member of its
-    orbit in ``functions_scanned``, ``witness_total`` and
-    ``balanced_at_best``; witnesses are the smallest ids over the whole
-    orbits. ``threads`` is the worker count (>= 1; ``None`` means one per
-    core).
+    bound (see :class:`SearchJob`) is accepted. Every family's work units
+    are orbit representatives under a group that keeps every metric:
+    general-family units are low halves, each scanned against every high
+    half; symmetric and rotation-symmetric units are whole functions. A row
+    counts once per member of its orbit in ``functions_scanned``,
+    ``witness_total`` and ``balanced_at_best``, and witnesses are the
+    smallest ids over the whole orbits. ``threads`` is the worker count
+    (>= 1; ``None`` means one per core).
     """
     check_threads(threads)
     t0 = time.perf_counter()
-    ranges = _chunk_ranges(job)
+    ranges = _chunk_ranges(job)  # builds the family's tables before any worker forks
     done: dict[int, _Agg] = {}
     ckpt_path = None
     ckpt_fh = None
@@ -821,8 +906,6 @@ def sweep(
                 if progress is not None:
                     progress(len(done), len(ranges))
         else:
-            if job.family == "general":
-                _general_tables(job.n)  # built pre-fork so workers share it
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 futures = {pool.submit(_run_chunk, job, i): i for i in pending}
                 for fut in as_completed(futures):
@@ -898,7 +981,7 @@ def _check_one(n: int) -> ConjectureCheck:
         job = SearchJob("symmetric", n, metric, witness_cap=ids.size)
         top[metric] = agg = _Agg(job)
         val = _metric_values(metric, c2, m_arr, infnum, n, kernel.sizes)
-        agg.update(ids, m_arr, infnum, c2, val, corr[:, 0], ids.size)
+        agg.update(ids, 1, m_arr, infnum, c2, val, corr[:, 0], ids.size)
     and_id = and_function(n).value_vector
     and_key = _function_key(top["ei"].job, and_id)[2]
     and_below_4 = and_key < LogLinear.of(4, {}, 1)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from walshlab.search import (
     _ratio_key,
     and_function,
     check_conjecture,
+    expand_witness,
     necklaces,
     sweep,
     sweep_rotsym,
@@ -85,6 +87,14 @@ def test_rotsym_expand_is_rotation_invariant():
         assert f.value(x) == f.value(rot)
 
 
+def test_rotsym_function_rejects_out_of_range_values():
+    # three variables have four necklaces, so the values take four bits
+    assert RotSymFunction(3, 15).expand().bits == 0xFF
+    for bad in (16, 1 << 10, -1):
+        with pytest.raises(ValueError, match="one bit per necklace"):
+            RotSymFunction(3, bad)
+
+
 def test_every_one_var_function_is_rotsym():
     reps, _ = necklaces(1)
     assert len(reps) == 2
@@ -124,6 +134,48 @@ def test_low_half_orbit_representatives():
             t, b = g % tab.h, g // tab.h
             sign = (-1) ** b * (1 - 2 * (weight[points & t] & 1))
             assert np.array_equal(tab.T[tab.images[g]], sign * tab.T), (n, g)
+
+
+FUNCTION_ORBITS = {
+    "rotsym": (2, 3, 6, 20, 48, 3168, 55232),
+    "symmetric": (2, 3, 6, 10, 20, 36, 72, 136, 272, 528, 1056, 2080),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FUNCTION_ORBITS))
+def test_function_orbit_representatives(family):
+    for n, expected in enumerate(FUNCTION_ORBITS[family], start=1):
+        kernel = _orbit_kernel(family, n)
+        reps, sizes = kernel.orbits.reps, kernel.orbits.sizes
+        assert reps.size == expected, n
+        assert int(sizes.sum()) == 1 << kernel.sizes.size
+        assert np.all(np.diff(reps) > 0)
+        orbits = np.sort(kernel.orbits.images(reps), axis=0)  # one column per orbit
+        assert np.array_equal(orbits[0], reps)
+        assert np.array_equal(1 + np.count_nonzero(np.diff(orbits, axis=0), axis=0), sizes)
+
+
+@pytest.mark.parametrize("family", sorted(FUNCTION_ORBITS))
+def test_function_orbit_maps_permute_spectra(family):
+    # each group element moves a function's c^2 between spectral points of
+    # equal weight and equal orbit size: the columns of the image rows are the
+    # columns of the original rows, matched with their sizes and weights
+    for n in range(1, len(FUNCTION_ORBITS[family]) + 1):
+        kernel = _orbit_kernel(family, n)
+        count = 1 << kernel.sizes.size
+        ids = np.unique(np.linspace(0, count - 1, num=min(count, 3000)).astype(np.int64))
+
+        def columns(rows):
+            c2 = kernel.spectra(rows) ** 2
+            cols = map(tuple, c2.T.tolist())
+            return sorted(zip(kernel.sizes.tolist(), kernel.weights.tolist(), cols))
+
+        expected = columns(ids)
+        images = kernel.orbits.images(ids)
+        multipliers = sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+        assert images.shape[0] == 4 * (multipliers if family == "rotsym" else 1)
+        for g, image in enumerate(images):
+            assert columns(image) == expected, (n, g)
 
 
 # --- job validation ---------------------------------------------------------------
@@ -329,6 +381,80 @@ def test_orbit_sweep_matches_dense_scan(filters, total):
     assert list(r.witnesses) == [TruthTable(4, v).to_hex() for v in achievers]
 
 
+def dense_family_achievers(family: str, n: int, metric: str, balanced: bool):
+    """Exact maximum, every achiever and the balanced achievers, scanning every function id."""
+    kernel = _orbit_kernel(family, n)
+    ids = np.arange(1 << kernel.sizes.size, dtype=np.int64)
+    corr = kernel.spectra(ids)
+    c2 = corr * corr
+    m, inf = c2.max(axis=1), c2 @ (kernel.sizes * kernel.weights)
+    keep = (inf > 0) & ((corr[:, 0] == 0) if balanced else True)
+    if metric == "ei":
+        terms = c2 * np.log2(np.maximum(c2, 1))
+        score = 2 * n * 4**n - terms @ kernel.sizes
+    else:
+        score = (2 * n - np.log2(np.maximum(m, 1))) * 4**n
+    val = np.where(keep, score / np.maximum(inf, 1), -np.inf)
+    sizes = tuple(kernel.sizes.tolist())
+    rows = c2 if metric == "ei" else m[:, None]
+    keys = {
+        v: _ratio_key(metric, n, int(inf[v]), tuple(rows[v].tolist()), sizes)
+        for v in np.nonzero(val >= val.max() - 1e-6)[0].tolist()
+    }
+    best = max(keys.values())
+    achievers = [v for v, key in keys.items() if key == best]
+    return best, achievers, int(np.count_nonzero(corr[achievers, 0] == 0))
+
+
+@pytest.mark.parametrize("metric", ["mei", "ei"])
+@pytest.mark.parametrize("filters", [(), ("balanced",)], ids=["unfiltered", "balanced"])
+@pytest.mark.parametrize("family, n_max", [("rotsym", 6), ("symmetric", 12)])
+def test_function_orbit_sweep_matches_dense_scan(family, n_max, metric, filters):
+    for n in range(1, n_max + 1):
+        best, achievers, balanced = dense_family_achievers(family, n, metric, bool(filters))
+        job = SearchJob(family, n, metric, filters, chunk_bits=3, witness_cap=4096)
+        r = sweep(job, threads=1)
+        assert r.functions_scanned == 1 << _orbit_kernel(family, n).sizes.size
+        assert r.best_ratio.value == best.value, n
+        assert r.witness_total == len(achievers) and r.balanced_at_best == balanced, n
+        assert list(r.witnesses) == [expand_witness(job, v).to_hex() for v in achievers], n
+
+
+# the published rotation-symmetric maxima (c18-c21): achiever counts, mei keys and witnesses
+ROTSYM_MAXIMA = {
+    (6, "ei"): (None, [
+        "0000000000000001", "7fffffffffffffff", "8000000000000000", "fffffffffffffffe",
+    ]),
+    (6, "mei"): ((324, 6912), [
+        "0103010f111355ff", "0103050f113355ff", "005533770f5f3f7f", "005537770f7f3f7f",
+        "ffaac888f080c080", "ffaacc88f0a0c080", "fefcfaf0eeccaa00", "fefcfef0eeecaa00",
+    ]),
+    (7, "ei"): (None, [
+        "00000000000000000000000000000001", "7fffffffffffffffffffffffffffffff",
+        "80000000000000000000000000000000", "fffffffffffffffffffffffffffffffe",
+    ]),
+    (7, "mei"): ((784, 32256), [
+        "0103010f010300ef1113110b5551fdff", "0000115503023373005f105d0f4f3b5f",
+        "130b11df0303b3ff515f115fdf5fffff", "000005040577057500323f3f04772f37",
+        "05230d0f45f705ff3133bf3f5577ffff", "004075552f77377708ff3f7f0f7f3f7f",
+        "ffbf8aaad088c888f700c080f080c080", "fadcf2f0ba08fa00cecc40c0aa880000",
+        "fffffafbfa88fa8affcdc0c0fb88d0c8", "ecf4ee20fcfc4c00aea0eea020a00000",
+        "ffffeeaafcfdcc8cffa0efa2f0b0c4a0", "fefcfef0fefcff10eeeceef4aaae0200",
+    ]),
+}
+
+
+@pytest.mark.parametrize("chunk_bits", [0, 3, 6])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_rotsym_published_maxima_achievers(threads, chunk_bits):
+    for (n, metric), (mei_key, witnesses) in ROTSYM_MAXIMA.items():
+        r = sweep(SearchJob("rotsym", n, metric, chunk_bits=chunk_bits), threads=threads)
+        assert r.functions_scanned == 1 << (14 if n == 6 else 20)
+        assert (r.max_corr_sq, r.influence_numerator) == (mei_key or (None, None))
+        assert r.witness_total == len(witnesses) and r.balanced_at_best == 0
+        assert list(r.witnesses) == witnesses
+
+
 # --- determinism ---------------------------------------------------------------------
 
 
@@ -448,16 +574,16 @@ def test_checkpoint_corruption(tmp_path):
 
 
 def test_checkpoint_old_version_rejected(tmp_path):
-    # version 2 records held the running-maximum key and no CRC
+    # version 3 symmetric and rotsym chunk ids indexed every function, not orbit representatives
     path = tmp_path / "sweep.ck"
     job = SearchJob("general", 3, metric="mei", chunk_bits=2, checkpoint_path=str(path))
     sweep(job, threads=1)
     data = bytearray(path.read_bytes())
     magic, version, cap, rec_size, pad, digest = _CKPT_HEADER.unpack_from(data)
-    assert version == 3 and digest == job.digest()
-    _CKPT_HEADER.pack_into(data, 0, magic, 2, cap, rec_size, pad, digest)
+    assert version == 4 and digest == job.digest()
+    _CKPT_HEADER.pack_into(data, 0, magic, 3, cap, rec_size, pad, digest)
     path.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError, match="version 2, this build reads version 3"):
+    with pytest.raises(CheckpointError, match="version 3, this build reads version 4"):
         sweep(job, threads=1)
     assert path.read_bytes() == bytes(data)
 

@@ -9,11 +9,14 @@ The general-family engine never transforms one function at a time: the two
 2^(n-1)-point half spectra A, B of every function are precomputed once, the
 full spectrum is [A+B | A-B], and both the largest squared correlation and
 the weight-weighted spectral sum come from a handful of vectorised passes
-per batch of 2^(2^(n-1)) functions sharing one low half. The 2^n maps that
-translate X1..X_{n-1} and optionally complement the output act on both half
-tables at once and keep every entry of [A+B | A-B]^2 (corr0 only changes
-sign), so every metric, filter and balancedness is constant on their orbits:
-the sweep visits one low half per orbit (the smallest; 2288 of 65536 at n=5)
+per batch of 2^(2^(n-1)) functions sharing one low half. The maps x ->
+pi(x) xor t of the points of X1..X_{n-1} (pi a permutation of those
+variables, t a translation), each with and without output complement, form
+a group of order (n-1)! * 2^(n-1) * 2. Applied to both half tables at once,
+an element moves every entry of [A+B | A-B]^2 only between points of equal
+weight (corr0 only changes sign), so every metric, filter and balancedness
+is constant on its orbits: the sweep visits one low half per orbit (the
+smallest; 222 of 65536 at n=5, one per NPN class of 4-variable functions)
 against every high half, weights each row by the orbit size, and maps the
 achieving functions through the group so the witnesses are still the
 smallest ids overall. Symmetric and rotation symmetric
@@ -43,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -77,12 +81,16 @@ _FLOAT_TOL = 1e-9
 _BATCH_CELLS = 1 << 18  # orbit-kernel cells (functions x orbits) per batch
 # group elements x ids per block while finding orbit representatives: 64-96 KiB
 # blocks stay below the usual 128 KiB malloc mmap threshold, so freeing them does
-# not raise it and leave freed heap resident (peak RSS)
+# not raise it and leave freed heap resident (peak RSS). A block holds at least
+# one high part, so the 768-element general group at n=5 takes 768 KiB blocks.
 _ORBIT_BLOCK_CELLS = 1 << 14
+# a sweep over fewer functions runs in-process whatever the worker count: below
+# this size, starting a worker pool costs more than the workers save
+_POOL_MIN_FUNCTIONS = 1 << 24
 
 CHECKPOINT_DIR_ENV = "WALSHLAB_CHECKPOINT_DIR"
 _CKPT_MAGIC = b"WLSWEEP1"
-_CKPT_VERSION = 4  # 4: symmetric and rotsym chunk ids index function-orbit representatives
+_CKPT_VERSION = 5  # 5: general chunk ids index low-half orbits under variable permutations too
 _CKPT_HEADER = struct.Struct("<8sIIII16s")
 _CKPT_CRC = struct.Struct("<I")
 
@@ -98,6 +106,11 @@ class CheckpointError(ValueError):
 # --- Function classes ---------------------------------------------------------
 
 
+def _check_arity(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"arity must be >= 1, got {n}")
+
+
 def necklaces(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     """Cyclic-rotation orbit representatives of n-bit strings, ascending.
 
@@ -105,6 +118,7 @@ def necklaces(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     i.e. the lexicographically minimal rotation) and an array mapping every
     n-bit input to its orbit index.
     """
+    _check_arity(n)
     size = 1 << n
     orbit = np.full(size, -1, dtype=np.int64)
     reps: list[int] = []
@@ -132,6 +146,7 @@ class SymmetricFunction:
     value_vector: int
 
     def __post_init__(self):
+        _check_arity(self.n)
         if not 0 <= self.value_vector < 1 << (self.n + 1):
             raise ValueError("value vector needs exactly n+1 bits")
 
@@ -510,10 +525,14 @@ class _HalfTables:
     """Half-table spectra of the general family and the symmetry group on halves.
 
     A function on n variables is a pair of half tables (low: X_n = 0, high:
-    X_n = 1) on 2^(n-1) points. The group of the 2^(n-1) translations of
-    X1..X_{n-1} times output complement acts on both halves at once and
-    leaves every squared correlation in place, so one low half per orbit,
-    weighted by the orbit size, stands for all of them.
+    X_n = 1) on 2^(n-1) points. The maps x -> pi(x) xor t of those points
+    (pi permutes X1..X_{n-1}, t translates), with and without output
+    complement, act on both halves at once: (n-1)! * 2^(n-1) * 2 elements,
+    96 at n=4 and 768 at n=5. An element negates or keeps each correlation
+    of a half and moves it to a point of equal weight, so it only reorders
+    the squared correlations of [A+B | A-B] between points of equal weight.
+    One low half per orbit (1, 2, 4, 14 and 222 for n=1..5), weighted by the
+    orbit size, stands for all of them.
     """
 
     h: int  # points per half table
@@ -521,14 +540,12 @@ class _HalfTables:
     T: np.ndarray  # T[x] = correlations of half table x
     W: np.ndarray  # W[x] = sum over a of weight(a) * T[x, a]^2
     wt_half: np.ndarray  # Hamming weight of each half-table point
-    images: np.ndarray  # images[b*h + t, x] = half table x translated by t, complemented if b
-    reps: np.ndarray  # the smallest half table of each orbit, ascending
-    sizes: np.ndarray  # orbit size of each representative
+    orbits: _IdOrbits  # low-half orbits under the point maps and output complement
 
     def orbit_ids(self, ids: np.ndarray) -> np.ndarray:
         """Every function in the orbits of ``ids``, with repeats."""
-        hi, lo = ids >> self.h, ids & (self.nh - 1)
-        return (self.images[:, hi] << self.h) | self.images[:, lo]
+        hi = self.orbits.images(ids >> self.h).astype(np.int64)
+        return (hi << self.h) | self.orbits.images(ids & (self.nh - 1))
 
 
 _GENERAL_TABLES: dict[int, _HalfTables] = {}
@@ -543,17 +560,18 @@ def _general_tables(n: int) -> _HalfTables:
     points = np.arange(h, dtype=np.int64)
     T = fwht_inplace(1 - 2 * ((np.arange(nh, dtype=np.int64)[:, None] >> points) & 1))
     wt_half = popcounts(h)
-    translations = np.tile(points[None, :] ^ points[:, None], (2, 1))
-    orbits = _id_orbits(translations, np.repeat([False, True], h))
+    # point maps x -> pi(x) ^ t: bit j of an image takes bit pi(j) ^ t of its id
+    bits = (points[:, None] >> np.arange(n - 1)) & 1
+    perms = itertools.permutations(range(n - 1))
+    permuted = [bits @ (1 << np.array(pi, dtype=np.int64)) for pi in perms]
+    maps = np.array([x ^ t for x in permuted for t in range(h)])
     cached = _HalfTables(
         h=h,
         nh=nh,
         T=T,
         W=(T * T) @ wt_half,
         wt_half=wt_half,
-        images=orbits.images(np.arange(nh)).astype(np.int64),
-        reps=orbits.reps,
-        sizes=orbits.sizes,
+        orbits=_id_orbits(np.tile(maps, (2, 1)), np.repeat([False, True], len(maps))),
     )
     _GENERAL_TABLES[n] = cached
     return cached
@@ -663,7 +681,8 @@ def _eval_general_chunk(job: SearchJob, rep_start: int, rep_stop: int, agg: _Agg
     s_buf = np.empty_like(T)
     d_buf = np.empty_like(T)
     secondary = spec.plateaued or spec.weight1 or spec.resilient is not None
-    reps, sizes = tab.reps[rep_start:rep_stop].tolist(), tab.sizes[rep_start:rep_stop].tolist()
+    reps = tab.orbits.reps[rep_start:rep_stop].tolist()
+    sizes = tab.orbits.sizes[rep_start:rep_stop].tolist()
     for lo, size in zip(reps, sizes):
         A = T[lo]
         corr0 = T[:, 0] + A[0]
@@ -725,8 +744,15 @@ def _eval_orbit_chunk(job: SearchJob, rep_start: int, rep_stop: int, agg: _Agg) 
 def _unit_count(job: SearchJob) -> int:
     """Work units of the job: the orbit representatives of its family's tables."""
     if job.family == "general":
-        return int(_general_tables(job.n).reps.size)
+        return int(_general_tables(job.n).orbits.reps.size)
     return int(_orbit_kernel(job.family, job.n).orbits.reps.size)
+
+
+def _space_size(job: SearchJob) -> int:
+    """Functions in the job's family at its arity: one per truth table or orbit assignment."""
+    if job.family == "general":
+        return 1 << (1 << job.n)
+    return 1 << int(_orbit_kernel(job.family, job.n).sizes.size)
 
 
 def _chunk_ranges(job: SearchJob) -> list[tuple[int, int]]:
@@ -871,12 +897,15 @@ def sweep(
     and resume points cannot change it. Every arity within the family's
     bound (see :class:`SearchJob`) is accepted. Every family's work units
     are orbit representatives under a group that keeps every metric:
-    general-family units are low halves, each scanned against every high
-    half; symmetric and rotation-symmetric units are whole functions. A row
-    counts once per member of its orbit in ``functions_scanned``,
-    ``witness_total`` and ``balanced_at_best``, and witnesses are the
-    smallest ids over the whole orbits. ``threads`` is the worker count
-    (>= 1; ``None`` means one per core).
+    general-family units are low halves under variable permutations,
+    translations and output complement (222 of 2^16 at n=5), each scanned
+    against every high half; symmetric and rotation-symmetric units are
+    whole functions. A row counts once per member of its orbit in
+    ``functions_scanned``, ``witness_total`` and ``balanced_at_best``, and
+    witnesses are the smallest ids over the whole orbits. ``threads`` is the
+    worker count (>= 1; ``None`` means one per core); a family with fewer
+    than 2^24 functions at the job's arity (everything but general n=5) is
+    swept in this process whatever the count.
     """
     check_threads(threads)
     t0 = time.perf_counter()
@@ -898,7 +927,7 @@ def sweep(
     try:
         if threads is None:
             threads = os.cpu_count() or 1
-        if threads == 1 or len(pending) <= 1:
+        if threads == 1 or len(pending) <= 1 or _space_size(job) < _POOL_MIN_FUNCTIONS:
             for i in pending:
                 done[i] = _run_chunk(job, i)
                 if ckpt_fh is not None:

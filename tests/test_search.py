@@ -95,6 +95,18 @@ def test_rotsym_function_rejects_out_of_range_values():
             RotSymFunction(3, bad)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [necklaces, lambda n: RotSymFunction(n, 0), lambda n: SymmetricFunction(n, 0)],
+    ids=["necklaces", "RotSymFunction", "SymmetricFunction"],
+)
+def test_arity_below_one_rejected(make):
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"arity must be >= 1, got {n}"):
+            make(n)
+    make(1)
+
+
 def test_every_one_var_function_is_rotsym():
     reps, _ = necklaces(1)
     assert len(reps) == 2
@@ -120,20 +132,43 @@ def test_orbit_spectra_match_fwht(family, ns):
 
 
 def test_low_half_orbit_representatives():
-    for n, expected in zip(range(1, 6), (1, 2, 5, 30, 2288)):
+    # translations x permutations of X1..X_{n-1} x output complement: one orbit
+    # per NPN class of (n-1)-variable functions
+    for n, expected in zip(range(1, 6), (1, 2, 4, 14, 222)):
         tab = _general_tables(n)
-        assert tab.reps.size == expected
-        assert int(tab.sizes.sum()) == tab.nh == 1 << (1 << (n - 1))
-        orbits = tab.images[:, tab.reps]  # one column per orbit
-        assert np.array_equal(orbits.min(axis=0), tab.reps)
-        assert [np.unique(col).size for col in orbits.T] == tab.sizes.tolist()
-        # element (t, b) negates the spectrum of every half by (-1)^(b + a.t), so
-        # acting on both halves at once it keeps each squared correlation of [A+B | A-B]
+        reps, sizes = tab.orbits.reps, tab.orbits.sizes
+        assert reps.size == expected
+        assert int(sizes.sum()) == tab.nh == 1 << (1 << (n - 1))
+        assert np.all(np.diff(reps) > 0)
+        orbits = np.sort(tab.orbits.images(reps), axis=0)  # one column per orbit
+        assert np.array_equal(orbits[0], reps)
+        assert np.array_equal(1 + np.count_nonzero(np.diff(orbits, axis=0), axis=0), sizes)
+
+
+def test_low_half_orbit_maps_permute_spectra():
+    # bit j of an image takes bit sigma(j) of its id, sigma(x) = pi(x) ^ t, and the
+    # image may be complemented. Then the spectrum of the image is the spectrum
+    # of the id with column a read at sigma(a) ^ sigma(0), negated or kept per
+    # column; that column map keeps Hamming weight, so acting on both halves at
+    # once it only reorders the squared correlations of [A+B | A-B] within weights
+    for n in range(1, 6):
+        tab = _general_tables(n)
         points, weight = np.arange(tab.h), popcounts(tab.h)
-        for g in range(tab.images.shape[0]):
-            t, b = g % tab.h, g // tab.h
-            sign = (-1) ** b * (1 - 2 * (weight[points & t] & 1))
-            assert np.array_equal(tab.T[tab.images[g]], sign * tab.T), (n, g)
+        units = tab.orbits.images(np.concatenate([[0], 1 << points]))
+        assert units.shape[0] == math.factorial(n - 1) * tab.h * 2
+        assert np.unique(units, axis=0).shape[0] == units.shape[0]  # distinct elements
+        flips = units[:, :1]
+        assert np.all((flips == 0) | (flips == tab.nh - 1))
+        moved = units[:, 1:] ^ flips  # moved[g, s] = the one-point table at sigma^-1(s)
+        target = np.log2(moved).astype(np.int64)
+        sigma = np.argsort(target, axis=1)
+        cols = sigma ^ sigma[:, :1]
+        assert np.array_equal(weight[cols], np.broadcast_to(weight, cols.shape))
+        ids = np.unique(np.linspace(0, tab.nh - 1, num=min(tab.nh, 128)).astype(np.int64))
+        image = tab.T[tab.orbits.images(ids)]  # (element, id, point)
+        expected = tab.T[ids][:, cols].transpose(1, 0, 2)
+        kept, negated = (image == expected).all(axis=1), (image == -expected).all(axis=1)
+        assert np.all(kept | negated), n
 
 
 FUNCTION_ORBITS = {
@@ -460,13 +495,28 @@ def test_rotsym_published_maxima_achievers(threads, chunk_bits):
 
 @pytest.mark.parametrize("chunk_bits", [0, 2, 5])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_determinism(chunk_bits, threads):
+def test_determinism(chunk_bits, threads, monkeypatch):
+    import walshlab.search as search_mod
+
+    monkeypatch.setattr(search_mod, "_POOL_MIN_FUNCTIONS", 0)  # threads=2 runs a worker pool
     base = sweep(SearchJob("general", 4, metric="mei", chunk_bits=4), threads=1)
     other = sweep(SearchJob("general", 4, metric="mei", chunk_bits=chunk_bits), threads=threads)
     a, b = search_result_canonical(base), search_result_canonical(other)
     a["job"].pop("chunk_bits")
     b["job"].pop("chunk_bits")
     assert a == b
+
+
+def test_small_sweeps_run_in_process(monkeypatch):
+    import walshlab.search as search_mod
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started for a small sweep")
+
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", no_pool)
+    job = SearchJob("rotsym", 7, metric="mei")
+    two = search_result_canonical(sweep(job, threads=2))
+    assert two == search_result_canonical(sweep(job, threads=1))
 
 
 def test_determinism_ei_metric():
@@ -574,16 +624,16 @@ def test_checkpoint_corruption(tmp_path):
 
 
 def test_checkpoint_old_version_rejected(tmp_path):
-    # version 3 symmetric and rotsym chunk ids indexed every function, not orbit representatives
+    # version 4 general chunk ids indexed low-half orbits without variable permutations
     path = tmp_path / "sweep.ck"
     job = SearchJob("general", 3, metric="mei", chunk_bits=2, checkpoint_path=str(path))
     sweep(job, threads=1)
     data = bytearray(path.read_bytes())
     magic, version, cap, rec_size, pad, digest = _CKPT_HEADER.unpack_from(data)
-    assert version == 4 and digest == job.digest()
-    _CKPT_HEADER.pack_into(data, 0, magic, 3, cap, rec_size, pad, digest)
+    assert version == 5 and digest == job.digest()
+    _CKPT_HEADER.pack_into(data, 0, magic, 4, cap, rec_size, pad, digest)
     path.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError, match="version 3, this build reads version 4"):
+    with pytest.raises(CheckpointError, match="version 4, this build reads version 5"):
         sweep(job, threads=1)
     assert path.read_bytes() == bytes(data)
 

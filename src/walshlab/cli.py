@@ -23,13 +23,16 @@ class InputError(ValueError):
 def _function_from_file(path: str) -> TruthTable:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: expected a JSON object")
     n = doc.get("n")
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise InputError(f"{path}: missing integer field 'n'")
-    if "tt" in doc:
-        return TruthTable.from_hex(doc["tt"], n)
-    if "anf" in doc:
-        return table_from_anf(doc["anf"], n)
+    for field, parse in (("tt", TruthTable.from_hex), ("anf", table_from_anf)):
+        if field in doc:
+            if not isinstance(doc[field], str):
+                raise InputError(f"{path}: field {field!r} must be a string")
+            return parse(doc[field], n)
     raise InputError(f"{path}: expected a 'tt' or 'anf' field")
 
 
@@ -114,7 +117,10 @@ def _worker_count(text: str) -> int:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError(f"--count-achieving {text!r}: the denominator must not be zero") from None
 
 
 def _cmd_search(args) -> int:
@@ -141,7 +147,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    claim_ids = args.claims.split(",") if args.claims else None
+    claim_ids = args.claims.split(",") if args.claims is not None else None
 
     def progress(entry: report.LedgerEntry) -> None:
         print(f"{entry.status.upper():7s} {entry.claim_id} ({entry.runtime:.2f}s)", file=sys.stderr)

@@ -538,16 +538,22 @@ def run_verification_suite(
 
     ``fast`` runs everything except the four n=5 general-sweep claims, which
     ``full`` adds. ``claim_ids`` restricts to a subset (still in ledger
-    order); failures become entries, never exceptions.
+    order) and raises ``ValueError`` naming any id that is not a claim;
+    failures become entries, never exceptions.
     """
     if scope not in ("fast", "full"):
         raise ValueError("scope must be 'fast' or 'full'")
     search.check_threads(threads)
     ctx = _Ctx(threads)
-    wanted = set(claim_ids) if claim_ids is not None else None
+    claims = _claims(ctx)
+    known = [c[0] for c in claims]
+    wanted = set(known if claim_ids is None else claim_ids)
+    unknown = sorted(wanted.difference(known))
+    if unknown:
+        raise ValueError(f"unknown claim id(s): {', '.join(map(repr, unknown))}")
     entries = []
-    for claim_id, claim_scope, tag, description, fn in _claims(ctx):
-        if wanted is not None and claim_id not in wanted:
+    for claim_id, claim_scope, tag, description, fn in claims:
+        if claim_id not in wanted:
             continue
         if claim_scope == "long" and scope != "full":
             entries.append(LedgerEntry(claim_id, tag, description, "", "", "skipped", 0.0))

@@ -5,32 +5,34 @@ symmetric functions on n <= 16 (by weight-value vector), and rotation
 symmetric functions on n <= 7 (by necklace-orbit assignment). A sweep either
 maximises a metric or counts the functions achieving an exact threshold.
 
-The general-family engine never transforms one function at a time: the two
-2^(n-1)-point half spectra A, B of every function are precomputed once, the
-full spectrum is [A+B | A-B], and both the largest squared correlation and
-the weight-weighted spectral sum come from a handful of vectorised passes
-per batch of 2^(2^(n-1)) functions sharing one low half. The maps x ->
-pi(x) xor t of the points of X1..X_{n-1} (pi a permutation of those
-variables, t a translation), each with and without output complement, form
-a group of order (n-1)! * 2^(n-1) * 2. Applied to both half tables at once,
-an element moves every entry of [A+B | A-B]^2 only between points of equal
-weight (corr0 only changes sign), so every metric, filter and balancedness
-is constant on its orbits: the sweep visits one low half per orbit (the
-smallest; 222 of 65536 at n=5, one per NPN class of 4-variable functions)
-against every high half, weights each row by the orbit size, and maps the
-achieving functions through the group so the witnesses are still the
-smallest ids overall. Symmetric and rotation symmetric
-functions are constant on input orbits (weight classes, necklaces), so their
-spectra are constant on the same orbits: one orbit-class matrix per (family,
-n) turns each function's orbit sign vector into its correlations at the
-orbit representatives, and every metric and filter reads those class columns
-weighted by orbit size. These families are swept one function orbit at a
-time too: input complement, the variable maps i -> k*i mod n (k coprime to
-n, rotation symmetric only) and output complement permute the orbit bits of
-a function id and move its squared correlations only between points of equal
-weight, so the sweep scans the smallest id of each orbit (55,232 of 2^20
-rotation symmetric functions at n=7), weighted by orbit size, and maps the
-achievers through the group. One helper (``_IdOrbits``) finds every
+One kernel type (``_Kernel``) serves all three families and one loop scans
+them. A kernel row holds a function's correlations, one column per class of
+spectral points on which every function of the family agrees: single points
+for the general family, input orbits (weight classes, necklaces) for the
+structured ones. The largest squared correlation, the influence (c^2 dotted
+with the columns' sizes times weights), every filter and the float ratios
+are read from those columns, weighted by their sizes; no function is ever
+transformed alone. General spectra come from half spectra precomputed once:
+the two 2^(n-1)-point halves A, B of a function give [A+B | A-B]. Spectra of
+symmetric and rotation symmetric functions come from one orbit-class matrix
+per (family, n), which turns a function's orbit sign vector into its
+correlations at the orbit representatives.
+
+Every family is scanned one orbit of a symmetry group at a time. The group
+moves squared correlations only between points of equal weight (corr0 only
+changes sign), so every metric, filter and balancedness is constant on its
+orbits. For the general family it acts on low halves: the maps x -> pi(x)
+xor t of the points of X1..X_{n-1} (pi a permutation of those variables, t a
+translation), each with and without output complement, applied to both half
+tables at once, (n-1)! * 2^(n-1) * 2 elements; a work unit is the smallest
+low half of an orbit (222 of 65536 at n=5, one per NPN class of 4-variable
+functions) against every high half. For the structured families it acts on
+function ids: input complement, the variable maps i -> k*i mod n (k coprime
+to n, rotation symmetric only) and output complement permute the orbit bits
+of an id; a work unit is the smallest id of an orbit (55,232 of 2^20
+rotation symmetric functions at n=7). Each row is weighted by its orbit
+size, and the achievers are mapped through the group, so the witnesses are
+still the smallest ids overall. One helper (``_IdOrbits``) finds every
 family's representatives; it stores a group as two lookup tables per element
 over the halves of the id bits.
 
@@ -78,7 +80,7 @@ ROTSYM_N_MAX = 7
 # balanced, so I >= 4^n. Twice that plus one ulp is below the tolerance, so no
 # row at the exact maximum or threshold is dropped.
 _FLOAT_TOL = 1e-9
-_BATCH_CELLS = 1 << 18  # orbit-kernel cells (functions x orbits) per batch
+_BATCH_CELLS = 1 << 18  # kernel cells (rows x columns) per batch
 # group elements x ids per block while finding orbit representatives: 64-96 KiB
 # blocks stay below the usual 128 KiB malloc mmap threshold, so freeing them does
 # not raise it and leave freed heap resident (peak RSS). A block holds at least
@@ -332,27 +334,13 @@ def _ratio_key(
     return LogLinear.of((2 * n - 2 * a) * scale, {p: -2 * e * scale for p, e in odd}, den)
 
 
-def _column_sizes(job: SearchJob) -> tuple[int, ...]:
-    """Spectral points per column of the job's kernel rows."""
-    if job.family == "general":
-        return (1,) * (1 << job.n)
-    return tuple(_orbit_kernel(job.family, job.n).sizes.tolist())
-
-
 def _function_key(job: SearchJob, fid: int) -> tuple[int, int, LogLinear]:
     """(largest c^2, influence numerator, exact ratio) of function ``fid`` of the job's family."""
-    if job.family == "general":
-        tab = _general_tables(job.n)
-        low, high = tab.T[fid & (tab.nh - 1)], tab.T[fid >> tab.h]
-        corr = np.concatenate([low + high, low - high])
-        weights = np.concatenate([tab.wt_half, tab.wt_half + 1])
-    else:
-        kernel = _orbit_kernel(job.family, job.n)
-        corr, weights = kernel.spectra(np.array([fid], dtype=np.int64))[0], kernel.weights
-    c2, sizes = corr * corr, _column_sizes(job)
-    m, inf = int(c2.max()), int(c2 @ (weights * sizes))
+    kernel = _kernel(job.family, job.n)
+    c2 = kernel.spectra(np.array([fid], dtype=np.int64))[0] ** 2
+    m, inf = int(c2.max()), int(c2 @ (kernel.weights * kernel.sizes))
     row = tuple(c2.tolist()) if job.metric == "ei" else (m,)
-    return m, inf, _ratio_key(job.metric, job.n, inf, row, sizes)
+    return m, inf, _ratio_key(job.metric, job.n, inf, row, tuple(kernel.sizes.tolist()))
 
 
 # --- Aggregation -----------------------------------------------------------------
@@ -378,23 +366,22 @@ class _Agg:
     def update(
         self,
         ids: np.ndarray,
-        sizes: np.ndarray | int,
+        sizes: np.ndarray,
         m_arr: np.ndarray,
         inf_arr: np.ndarray,
-        c2: np.ndarray | None,
+        c2: np.ndarray,
         val: np.ndarray,
-        corr0: np.ndarray,
         scanned: int,
         orbit_ids: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
         """Fold in one batch of rows.
 
         ``val`` holds the float ratios, which only pick candidate rows; ``c2``
-        (needed for ``ei``) the squared correlations the exact keys are built
-        from. Row i stands for ``sizes[i]`` functions (or ``sizes`` for every
-        row) with the same metric values and the same balancedness;
-        ``orbit_ids`` maps achieving ids to all of those functions, so the
-        witnesses stay the smallest ids overall.
+        the squared correlations the exact keys are built from (column 0 is
+        the point 0, so it is zero exactly on the balanced rows). Row i
+        stands for ``sizes[i]`` functions with the same metric values and the
+        same balancedness; ``orbit_ids`` maps achieving ids to all of those
+        functions, so the witnesses stay the smallest ids overall.
         """
         self.scanned += scanned
         if ids.size == 0:
@@ -405,13 +392,8 @@ class _Agg:
             rows = self._max_rows(ids, m_arr, inf_arr, c2, val)
         if rows is None or rows.size == 0:
             return
-        zero = corr0[rows] == 0
-        if isinstance(sizes, np.ndarray):
-            self.count += int(sizes[rows].sum())
-            self.balanced += int(sizes[rows] @ zero)
-        else:
-            self.count += sizes * int(rows.size)
-            self.balanced += sizes * int(np.count_nonzero(zero))
+        self.count += int(sizes[rows].sum())
+        self.balanced += int(sizes[rows] @ (c2[rows, 0] == 0))
         if self.job.witness_cap:
             hit = ids[rows]
             self._add_witnesses(hit if orbit_ids is None else orbit_ids(hit))
@@ -422,7 +404,7 @@ class _Agg:
         data = np.column_stack([inf_arr[rows], c2[rows] if job.metric == "ei" else m_arr[rows]])
         index: dict[tuple[int, ...], int] = {}
         inverse = np.array([index.setdefault(tuple(row), len(index)) for row in data.tolist()])
-        sizes = _column_sizes(job)
+        sizes = tuple(_kernel(job.family, job.n).sizes.tolist())
         return [_ratio_key(job.metric, job.n, row[0], row[1:], sizes) for row in index], inverse
 
     def _count_rows(self, m_arr, inf_arr, c2, val) -> np.ndarray:
@@ -521,93 +503,82 @@ def _id_orbits(perms: np.ndarray, flips: np.ndarray) -> _IdOrbits:
 
 
 @dataclass(frozen=True)
-class _HalfTables:
-    """Half-table spectra of the general family and the symmetry group on halves.
+class _Kernel:
+    """Walsh spectra of a function family, one column per class of spectral points.
 
-    A function on n variables is a pair of half tables (low: X_n = 0, high:
-    X_n = 1) on 2^(n-1) points. The maps x -> pi(x) xor t of those points
-    (pi permutes X1..X_{n-1}, t translates), with and without output
-    complement, act on both halves at once: (n-1)! * 2^(n-1) * 2 elements,
-    96 at n=4 and 768 at n=5. An element negates or keeps each correlation
-    of a half and moves it to a point of equal weight, so it only reorders
-    the squared correlations of [A+B | A-B] between points of equal weight.
-    One low half per orbit (1, 2, 4, 14 and 222 for n=1..5), weighted by the
-    orbit size, stands for all of them.
+    Column j holds sizes[j] points of Hamming weight weights[j] on which
+    every function of the family has the same correlation; a function id has
+    one bit per column (its value on point j, or on input orbit j). The
+    general family's spectral data are the half spectra ``T``, the others'
+    the orbit-class matrix ``M``: c(rep_p) = sum over orbits o of (-1)^f(o) *
+    M[o, p]. ``orbits`` holds the work units: general low halves (each
+    scanned against every high half) or whole functions.
     """
 
-    h: int  # points per half table
-    nh: int  # number of half tables
-    T: np.ndarray  # T[x] = correlations of half table x
-    W: np.ndarray  # W[x] = sum over a of weight(a) * T[x, a]^2
-    wt_half: np.ndarray  # Hamming weight of each half-table point
-    orbits: _IdOrbits  # low-half orbits under the point maps and output complement
+    sizes: np.ndarray  # spectral points per column
+    weights: np.ndarray  # Hamming weight shared by a column's points
+    orbits: _IdOrbits  # work-unit orbits: low halves (general) or functions
+    T: np.ndarray | None = None  # general: T[x] = correlations of half table x
+    M: np.ndarray | None = None  # otherwise: M[o, p] = sum of (-1)^(x . rep_p) over orbit o
+
+    def spectra(self, ids: np.ndarray) -> np.ndarray:
+        """Correlations of functions ``ids``, one column per point class."""
+        if self.M is not None:
+            bits = (ids[:, None] >> np.arange(self.sizes.size)) & 1
+            return (1 - 2 * bits) @ self.M
+        nh, h = self.T.shape
+        low, high = self.T[ids & (nh - 1)], self.T[ids >> h]
+        return np.concatenate([low + high, low - high], axis=1)
+
+    def units(
+        self, first: int, last: int, balanced: bool
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ids, orbit sizes and correlations of the rows of work units first..last-1.
+
+        With ``balanced``, a general unit keeps only the high halves that
+        balance its low half (T[hi, 0] = -T[lo, 0]); other rows are all kept.
+        """
+        reps, sizes = self.orbits.reps[first:last], self.orbits.sizes[first:last]
+        if self.M is not None:
+            return reps, sizes, self.spectra(reps)
+        nh, h = self.T.shape
+        if balanced:
+            unit, high = np.nonzero(self.T[:, 0] == -self.T[reps, :1])
+            ids = (high << h) | reps[unit]
+            return ids, sizes[unit], self.spectra(ids)
+        low = self.T[reps][:, None, :]
+        corr = np.empty((reps.size, nh, 2 * h), dtype=self.T.dtype)
+        np.add(low, self.T, out=corr[:, :, :h])
+        np.subtract(low, self.T, out=corr[:, :, h:])
+        ids = (np.arange(nh, dtype=np.int64) << h) | reps[:, None]
+        return ids.ravel(), np.repeat(sizes, nh), corr.reshape(-1, 2 * h)
 
     def orbit_ids(self, ids: np.ndarray) -> np.ndarray:
         """Every function in the orbits of ``ids``, with repeats."""
-        hi = self.orbits.images(ids >> self.h).astype(np.int64)
-        return (hi << self.h) | self.orbits.images(ids & (self.nh - 1))
+        if self.M is not None:
+            return self.orbits.images(ids)
+        nh, h = self.T.shape
+        high = self.orbits.images(ids >> h).astype(np.int64)
+        return (high << h) | self.orbits.images(ids & (nh - 1))
 
 
-_GENERAL_TABLES: dict[int, _HalfTables] = {}
-
-
-def _general_tables(n: int) -> _HalfTables:
-    cached = _GENERAL_TABLES.get(n)
-    if cached is not None:
-        return cached
-    h = 1 << (n - 1)
-    nh = 1 << h
-    points = np.arange(h, dtype=np.int64)
-    T = fwht_inplace(1 - 2 * ((np.arange(nh, dtype=np.int64)[:, None] >> points) & 1))
-    wt_half = popcounts(h)
-    # point maps x -> pi(x) ^ t: bit j of an image takes bit pi(j) ^ t of its id
-    bits = (points[:, None] >> np.arange(n - 1)) & 1
-    perms = itertools.permutations(range(n - 1))
-    permuted = [bits @ (1 << np.array(pi, dtype=np.int64)) for pi in perms]
-    maps = np.array([x ^ t for x in permuted for t in range(h)])
-    cached = _HalfTables(
-        h=h,
-        nh=nh,
-        T=T,
-        W=(T * T) @ wt_half,
-        wt_half=wt_half,
-        orbits=_id_orbits(np.tile(maps, (2, 1)), np.repeat([False, True], len(maps))),
-    )
-    _GENERAL_TABLES[n] = cached
-    return cached
-
-
-@dataclass(frozen=True)
-class _OrbitKernel:
-    """Walsh spectra of a structured family, one column per input orbit.
-
-    The family's functions are constant on the orbits of a group that also
-    acts on the spectral points, so a spectrum is constant on the same
-    orbits: c(rep_p) = sum over orbits o of (-1)^f(o) * M[o, p]. Input maps
-    that permute the input orbits and keep every squared correlation up to a
-    weight-preserving reordering, with output complement, act on function
-    ids; ``orbits`` holds the function orbits they form.
-    """
-
-    M: np.ndarray  # M[o, p] = sum of (-1)^(x . rep_p) over the x in orbit o
-    sizes: np.ndarray  # points per orbit
-    weights: np.ndarray  # Hamming weight shared by an orbit's points
-    orbits: _IdOrbits  # function orbits under the family's input maps and output complement
-
-    def spectra(self, ids: np.ndarray) -> np.ndarray:
-        """Correlations of functions ``ids`` (bit o = value on orbit o) at the representatives."""
-        bits = (ids[:, None] >> np.arange(self.sizes.size)) & 1
-        return (1 - 2 * bits) @ self.M
-
-
-_ORBIT_KERNELS: dict[tuple[str, int], _OrbitKernel] = {}
-
-
-def _orbit_kernel(family: str, n: int) -> _OrbitKernel:
-    cached = _ORBIT_KERNELS.get((family, n))
-    if cached is not None:
-        return cached
+@functools.cache
+def _kernel(family: str, n: int) -> _Kernel:
     wt = popcounts(1 << n)
+    if family == "general":
+        h = 1 << (n - 1)
+        points = np.arange(h, dtype=np.int64)
+        T = fwht_inplace(1 - 2 * ((np.arange(1 << h, dtype=np.int64)[:, None] >> points) & 1))
+        # |c| <= 2^n <= 32, so c^2 <= 1024 and the influence numerator n * 4^n fit in
+        # int32, which halves the memory traffic of every batch
+        T, wt = T.astype(np.int32), wt.astype(np.int32)
+        # point maps x -> pi(x) ^ t: bit j of an image takes bit pi(j) ^ t of its id
+        bits = (points[:, None] >> np.arange(n - 1)) & 1
+        perms = itertools.permutations(range(n - 1))
+        permuted = [bits @ (1 << np.array(pi, dtype=np.int64)) for pi in perms]
+        maps = np.array([x ^ t for x in permuted for t in range(h)])
+        orbits = _id_orbits(np.tile(maps, (2, 1)), np.repeat([False, True], len(maps)))
+        return _Kernel(np.ones(2 * h, dtype=np.int32), wt, orbits, T=T)
     if family == "symmetric":
         reps, orbit = [(1 << w) - 1 for w in range(n + 1)], wt
     else:
@@ -622,30 +593,25 @@ def _orbit_kernel(family: str, n: int) -> _OrbitKernel:
     mults = [k for k in range(1, n + 1) if math.gcd(k, n) == 1] if family == "rotsym" else [1]
     moved = [(((reps[:, None] >> points) & 1) << (k * points % n)).sum(axis=1) for k in mults]
     perms = np.array([orbit[x ^ c] for x in moved for c in (0, (1 << n) - 1)])
-    kernel = _OrbitKernel(
-        M=fwht_inplace(indicators)[:, reps],
-        sizes=np.bincount(orbit, minlength=reps.size),
-        weights=wt[reps],
-        orbits=_id_orbits(np.repeat(perms, 2, axis=0), np.tile([False, True], perms.shape[0])),
-    )
-    _ORBIT_KERNELS[(family, n)] = kernel
-    return kernel
+    orbits = _id_orbits(np.repeat(perms, 2, axis=0), np.tile([False, True], perms.shape[0]))
+    sizes = np.bincount(orbit, minlength=reps.size)
+    return _Kernel(sizes, wt[reps], orbits, M=fwht_inplace(indicators)[:, reps])
 
 
-def _entropy_rows(c2: np.ndarray, n: int, sizes: np.ndarray | None = None) -> np.ndarray:
+def _entropy_rows(c2: np.ndarray, n: int, sizes: np.ndarray) -> np.ndarray:
     """Float row entropies from squared correlations; column p stands for sizes[p] points."""
     c2_f = c2.astype(np.float64)
     terms = c2_f * np.log2(np.maximum(c2_f, 1.0))
-    return 2 * n - (terms.sum(axis=1) if sizes is None else terms @ sizes) / float(4**n)
+    return 2 * n - (terms @ sizes) / float(4**n)
 
 
 def _filter_rows(
-    c2: np.ndarray, corr0: np.ndarray, m_arr: np.ndarray, wt_cols: np.ndarray, spec: _Filters
+    c2: np.ndarray, m_arr: np.ndarray, wt_cols: np.ndarray, spec: _Filters
 ) -> np.ndarray:
     """Rows passing every filter; column j of ``c2`` holds points of weight wt_cols[j]."""
     mask = np.ones(c2.shape[0], dtype=bool)
     if spec.balanced:
-        mask &= corr0 == 0
+        mask &= c2[:, 0] == 0
     if spec.resilient is not None:
         mask &= (c2[:, wt_cols <= spec.resilient] == 0).all(axis=1)
     if spec.plateaued:
@@ -655,7 +621,7 @@ def _filter_rows(
     return mask
 
 
-def _metric_values(metric: str, c2, m_arr, inf_arr, n: int, sizes=None) -> np.ndarray:
+def _metric_values(metric: str, c2, m_arr, inf_arr, n: int, sizes: np.ndarray) -> np.ndarray:
     tot = float(4**n)
     with np.errstate(divide="ignore", invalid="ignore"):
         if metric == "ei":
@@ -669,90 +635,38 @@ def _metric_values(metric: str, c2, m_arr, inf_arr, n: int, sizes=None) -> np.nd
     return val
 
 
-def _eval_general_chunk(job: SearchJob, rep_start: int, rep_stop: int, agg: _Agg) -> None:
-    """Scan representatives rep_start..rep_stop-1 of the low half against every high half."""
-    n = job.n
-    tab = _general_tables(n)
-    T, W, nh = tab.T, tab.W, tab.nh
+def _eval_chunk(job: SearchJob, first: int, last: int, agg: _Agg) -> None:
+    """Scan work units first..last-1, in batches of about ``_BATCH_CELLS`` cells."""
+    kernel = _kernel(job.family, job.n)
     spec = job.parsed_filters
-    parseval_half = 2 * 4 ** (n - 1)
-    wt_cols = np.concatenate([tab.wt_half, tab.wt_half + 1])  # [S | D] column weights
-    hi_ids = np.arange(nh, dtype=np.int64) << tab.h
-    s_buf = np.empty_like(T)
-    d_buf = np.empty_like(T)
-    secondary = spec.plateaued or spec.weight1 or spec.resilient is not None
-    reps = tab.orbits.reps[rep_start:rep_stop].tolist()
-    sizes = tab.orbits.sizes[rep_start:rep_stop].tolist()
-    for lo, size in zip(reps, sizes):
-        A = T[lo]
-        corr0 = T[:, 0] + A[0]
-        if spec.balanced:
-            sel = np.nonzero(corr0 == 0)[0]
-            if sel.size == 0:
-                agg.scanned += nh * size
-                continue
-            t_sel, corr0, w_sel, ids = T[sel], corr0[sel], W[sel], hi_ids[sel] | lo
-            s = np.add(t_sel, A)
-            d = np.subtract(A, t_sel)
-        else:
-            t_sel, w_sel, ids = T, W, hi_ids | lo
-            s = np.add(t_sel, A, out=s_buf)
-            d = np.subtract(A, t_sel, out=d_buf)
-        dot = t_sel @ A
-        np.multiply(s, s, out=s)
-        np.multiply(d, d, out=d)
-        m_arr = np.maximum(s.max(axis=1), d.max(axis=1))
-        inf_arr = 2 * (W[lo] + w_sel) + (parseval_half - 2 * dot)
-        c2 = np.concatenate([s, d], axis=1) if (secondary or job.metric == "ei") else None
-        if secondary:
-            keep = np.nonzero(_filter_rows(c2, corr0, m_arr, wt_cols, spec))[0]
-            if keep.size == 0:
-                agg.scanned += nh * size
-                continue
-            c2, corr0, m_arr, inf_arr, ids = (
-                c2[keep], corr0[keep], m_arr[keep], inf_arr[keep], ids[keep],
-            )
-        val = _metric_values(job.metric, c2, m_arr, inf_arr, n)
-        agg.update(ids, size, m_arr, inf_arr, c2, val, corr0, nh * size, tab.orbit_ids)
-
-
-def _eval_orbit_chunk(job: SearchJob, rep_start: int, rep_stop: int, agg: _Agg) -> None:
-    """Scan function-orbit representatives rep_start..rep_stop-1, in batches."""
-    kernel = _orbit_kernel(job.family, job.n)
     influence_cols = kernel.sizes * kernel.weights
-    rows_per_batch = max(1, _BATCH_CELLS // kernel.sizes.size)
-    for start in range(rep_start, rep_stop, rows_per_batch):
-        stop = min(start + rows_per_batch, rep_stop)
-        ids, sizes = kernel.orbits.reps[start:stop], kernel.orbits.sizes[start:stop]
-        scanned = int(sizes.sum())
-        corr = kernel.spectra(ids)
-        c2 = corr * corr
-        corr0 = corr[:, 0]
+    # functions per member of a unit's orbit: every high half (general), else 1
+    unit_rows = _space_size(job) // int(kernel.orbits.sizes.sum())
+    step = max(1, _BATCH_CELLS // (unit_rows * kernel.sizes.size))
+    for start in range(first, last, step):
+        stop = min(start + step, last)
+        ids, sizes, c2 = kernel.units(start, stop, spec.balanced)
+        np.multiply(c2, c2, out=c2)
         m_arr = c2.max(axis=1)
         inf_arr = c2 @ influence_cols
         if job.filters:
-            sel = np.nonzero(_filter_rows(c2, corr0, m_arr, kernel.weights, job.parsed_filters))[0]
-            if sel.size == 0:
-                agg.scanned += scanned
-                continue
-            c2, corr0, m_arr, inf_arr = c2[sel], corr0[sel], m_arr[sel], inf_arr[sel]
-            ids, sizes = ids[sel], sizes[sel]
+            keep = np.nonzero(_filter_rows(c2, m_arr, kernel.weights, spec))[0]
+            ids, sizes, c2, m_arr, inf_arr = (
+                ids[keep], sizes[keep], c2[keep], m_arr[keep], inf_arr[keep],
+            )
         val = _metric_values(job.metric, c2, m_arr, inf_arr, job.n, kernel.sizes)
-        agg.update(ids, sizes, m_arr, inf_arr, c2, val, corr0, scanned, kernel.orbits.images)
+        scanned = unit_rows * int(kernel.orbits.sizes[start:stop].sum())
+        agg.update(ids, sizes, m_arr, inf_arr, c2, val, scanned, kernel.orbit_ids)
 
 
 def _unit_count(job: SearchJob) -> int:
-    """Work units of the job: the orbit representatives of its family's tables."""
-    if job.family == "general":
-        return int(_general_tables(job.n).orbits.reps.size)
-    return int(_orbit_kernel(job.family, job.n).orbits.reps.size)
+    """Work units of the job: the orbit representatives of its family's kernel."""
+    return int(_kernel(job.family, job.n).orbits.reps.size)
 
 
 def _space_size(job: SearchJob) -> int:
-    """Functions in the job's family at its arity: one per truth table or orbit assignment."""
-    if job.family == "general":
-        return 1 << (1 << job.n)
-    return 1 << int(_orbit_kernel(job.family, job.n).sizes.size)
+    """Functions in the job's family at its arity: one id bit per kernel column."""
+    return 1 << int(_kernel(job.family, job.n).sizes.size)
 
 
 def _chunk_ranges(job: SearchJob) -> list[tuple[int, int]]:
@@ -764,11 +678,7 @@ def _chunk_ranges(job: SearchJob) -> list[tuple[int, int]]:
 
 def _run_chunk(job: SearchJob, chunk_idx: int) -> _Agg:
     agg = _Agg(job)
-    start, stop = _chunk_ranges(job)[chunk_idx]
-    if job.family == "general":
-        _eval_general_chunk(job, start, stop, agg)
-    else:
-        _eval_orbit_chunk(job, start, stop, agg)
+    _eval_chunk(job, *_chunk_ranges(job)[chunk_idx], agg)
     return agg
 
 
@@ -810,8 +720,10 @@ def _load_checkpoint(path: str, job: SearchJob) -> tuple[dict[int, _Agg], int]:
     """The chunk outcomes recorded in ``path`` and the byte length of its intact part.
 
     A torn last record (cut short, or failing its CRC) is dropped, so its
-    chunk runs again; a bad record before it or a repeated chunk id raises
-    ``CheckpointError``. The key of each record is rebuilt from its best id.
+    chunk runs again; a bad record before it, a repeated chunk id, or a
+    chunk id, best id, witness id or witness count outside the job's range
+    raises ``CheckpointError``. The key of each record is rebuilt from its
+    best id.
     """
     body = _record_struct(job.witness_cap)
     size = body.size + _CKPT_CRC.size
@@ -831,6 +743,7 @@ def _load_checkpoint(path: str, job: SearchJob) -> tuple[dict[int, _Agg], int]:
         if digest != job.digest():
             raise CheckpointError(f"{path}: checkpoint belongs to a different job")
         data = fh.read()
+    chunks, space = len(_chunk_ranges(job)), _space_size(job)
     done: dict[int, _Agg] = {}
     for start in range(0, len(data), size):
         blob = data[start : start + size]
@@ -839,8 +752,17 @@ def _load_checkpoint(path: str, job: SearchJob) -> tuple[dict[int, _Agg], int]:
                 break  # torn by an interrupted write
             raise CheckpointError(f"{path}: record {start // size} fails its CRC check")
         chunk_idx, scanned, best_id, count, balanced, nwit, *wit = body.unpack(blob[:-4])
+        where = f"{path}: chunk {chunk_idx}"
         if chunk_idx in done:
-            raise CheckpointError(f"{path}: chunk {chunk_idx} is recorded twice")
+            raise CheckpointError(f"{where} is recorded twice")
+        if chunk_idx >= chunks:
+            raise CheckpointError(f"{where} is outside the job's {chunks} chunks")
+        if not -1 <= best_id < space:
+            raise CheckpointError(f"{where} has best id {best_id} outside [-1, {space})")
+        if nwit > job.witness_cap:
+            raise CheckpointError(f"{where} has {nwit} witnesses, above the cap {job.witness_cap}")
+        if any(w >= space for w in wit[:nwit]):
+            raise CheckpointError(f"{where} has a witness id outside [0, {space})")
         best = _function_key(job, best_id)[2] if best_id >= 0 else None
         done[chunk_idx] = _Agg(
             job, scanned, best, best_id, count=count, balanced=balanced, witnesses=wit[:nwit]
@@ -895,12 +817,13 @@ def sweep(
 
     The outcome is a pure function of the job: worker count, chunk layout,
     and resume points cannot change it. Every arity within the family's
-    bound (see :class:`SearchJob`) is accepted. Every family's work units
-    are orbit representatives under a group that keeps every metric:
-    general-family units are low halves under variable permutations,
-    translations and output complement (222 of 2^16 at n=5), each scanned
-    against every high half; symmetric and rotation-symmetric units are
-    whole functions. A row counts once per member of its orbit in
+    bound (see :class:`SearchJob`) is accepted. One kernel per (family, n)
+    serves every job, and its work units are orbit representatives under a
+    group that keeps every metric: general-family units are low halves
+    under variable permutations, translations and output complement (222
+    of 2^16 at n=5), each scanned against every high half; symmetric and
+    rotation-symmetric units are whole functions. Every chunk runs the same
+    batched scan over its units. A row counts once per member of its orbit in
     ``functions_scanned``, ``witness_total`` and ``balanced_at_best``, and
     witnesses are the smallest ids over the whole orbits. ``threads`` is the
     worker count (>= 1; ``None`` means one per core); a family with fewer
@@ -909,7 +832,7 @@ def sweep(
     """
     check_threads(threads)
     t0 = time.perf_counter()
-    ranges = _chunk_ranges(job)  # builds the family's tables before any worker forks
+    ranges = _chunk_ranges(job)  # builds the family's kernel before any worker forks
     done: dict[int, _Agg] = {}
     ckpt_path = None
     ckpt_fh = None
@@ -999,10 +922,9 @@ def check_conjecture(ns: Iterable[int]) -> list[ConjectureCheck]:
 
 
 def _check_one(n: int) -> ConjectureCheck:
-    kernel = _orbit_kernel("symmetric", n)
+    kernel = _kernel("symmetric", n)
     ids = np.arange(1 << (n + 1), dtype=np.int64)
-    corr = kernel.spectra(ids)
-    c2 = corr * corr
+    c2 = kernel.spectra(ids) ** 2
     infnum = c2 @ (kernel.sizes * kernel.weights)
     m_arr = c2.max(axis=1)
     top = {}
@@ -1010,7 +932,7 @@ def _check_one(n: int) -> ConjectureCheck:
         job = SearchJob("symmetric", n, metric, witness_cap=ids.size)
         top[metric] = agg = _Agg(job)
         val = _metric_values(metric, c2, m_arr, infnum, n, kernel.sizes)
-        agg.update(ids, 1, m_arr, infnum, c2, val, corr[:, 0], ids.size)
+        agg.update(ids, np.ones_like(ids), m_arr, infnum, c2, val, ids.size)
     and_id = and_function(n).value_vector
     and_key = _function_key(top["ei"].job, and_id)[2]
     and_below_4 = and_key < LogLinear.of(4, {}, 1)

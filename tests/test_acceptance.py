@@ -1,7 +1,7 @@
 """Acceptance gate: every headline criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line. The n=5 whole-space sweeps of criterion
-9 scan one low half per symmetry orbit and take about 7 s of CPU.
+9 scan one low half per symmetry orbit and take about 4 s of CPU.
 """
 import random
 import time

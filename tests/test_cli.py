@@ -48,6 +48,24 @@ def test_analyze_file(capsys, tmp_path):
     assert json.loads(out)["bent"] is True
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([2, "X1X2"], "expected a JSON object"),
+        ({"n": 3, "tt": 5}, "field 'tt' must be a string"),
+        ({"n": 2, "anf": ["X1"]}, "field 'anf' must be a string"),
+        ({"n": True, "anf": "X1"}, "missing integer field 'n'"),
+    ],
+    ids=["array", "tt-number", "anf-list", "n-bool"],
+)
+def test_analyze_file_rejects_malformed_json(capsys, tmp_path, doc, message):
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "analyze", "--file", str(path))
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_analyze_requires_one_source(capsys):
     code, _, err = run_cli(capsys, "analyze", "--tt", "6", "--anf", "X1", "--n", "2")
     assert code == 2
@@ -138,6 +156,14 @@ def test_search_count_achieving(capsys):
     assert json.loads(out)["count_achieving"] == 24
 
 
+def test_search_count_achieving_zero_denominator(capsys):
+    code, out, err = run_cli(
+        capsys, "search", "general", "--n", "3", "--count-achieving", "1/0", "--threads", "1"
+    )
+    assert code == 2 and out == ""
+    assert "denominator must not be zero" in err
+
+
 def test_search_bound_error(capsys):
     code, _, err = run_cli(capsys, "search", "general", "--n", "6")
     assert code == 2
@@ -207,3 +233,12 @@ def test_verify_long_claim_skipped_in_fast(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scope", "fast", "--claims", "c25-seed-family-count")
     assert code == 0
     assert json.loads(out)["entries"][0]["status"] == "skipped"
+
+
+@pytest.mark.parametrize(
+    "claims, named", [("c17-parseval,c99-nope", "'c99-nope'"), ("", "''")], ids=["unknown", "empty"]
+)
+def test_verify_unknown_claim_is_usage_error(capsys, claims, named):
+    code, out, err = run_cli(capsys, "verify", "--claims", claims)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: unknown claim id(s): {named}"

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from walshlab.core import Spectrum, table_from_anf, walsh_transform
 from walshlab.construct import gb_construction_report
@@ -152,6 +153,11 @@ def test_suite_empty_scope():
     ledger = run_verification_suite(scope="fast", claim_ids=[])
     assert ledger.entries == ()
     assert ledger.exit_code() == 0
+
+
+def test_suite_rejects_unknown_claim_ids():
+    with pytest.raises(ValueError, match=r"unknown claim id\(s\): 'c00-nope', 'c99-nope'$"):
+        run_verification_suite(scope="fast", claim_ids=["c99-nope", "c17-parseval", "c00-nope"])
 
 
 def test_suite_records_failures_as_entries():

@@ -1,4 +1,6 @@
 import math
+import struct
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +17,7 @@ from walshlab.search import (
     SearchJob,
     SweepBoundError,
     SymmetricFunction,
-    _general_tables,
-    _orbit_kernel,
+    _kernel,
     _ratio_key,
     and_function,
     check_conjecture,
@@ -115,32 +116,56 @@ def test_every_one_var_function_is_rotsym():
 
 
 @pytest.mark.parametrize(
-    "family,ns", [("symmetric", range(1, 13)), ("rotsym", range(1, 8))]
+    "family,ns", [("symmetric", range(1, 13)), ("rotsym", range(1, 8)), ("general", range(1, 6))]
 )
 def test_orbit_spectra_match_fwht(family, ns):
     # class rows spread over the orbit map are the dense spectrum of expand()
     for n in ns:
-        kernel = _orbit_kernel(family, n)
+        kernel = _kernel(family, n)
         count = 1 << kernel.sizes.size
         ids = np.unique(np.linspace(0, count - 1, num=min(count, 40)).astype(np.int64))
         corr = kernel.spectra(ids)
-        orbit = popcounts(1 << n) if family == "symmetric" else necklaces(n)[1]
-        cls = SymmetricFunction if family == "symmetric" else RotSymFunction
+        if family == "general":  # one column per point
+            orbit = np.arange(1 << n)
+        else:
+            orbit = popcounts(1 << n) if family == "symmetric" else necklaces(n)[1]
         for row, vid in zip(corr, ids.tolist()):
-            dense = walsh_transform(cls(n, vid).expand()).corr
+            dense = walsh_transform(expand_witness(SearchJob(family, n), vid)).corr
             assert np.array_equal(row[orbit], dense), (family, n, vid)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_general_units_balanced_rows(n):
+    # a balanced unit is exactly the balanced rows of the full unit, whose
+    # broadcast rows are the gathered spectra of their ids; either way a
+    # sweep counts every function as scanned
+    kernel = _kernel("general", n)
+    units = kernel.orbits.reps.size
+    for first in sorted({0, units // 2, units - 1}):
+        ids, sizes, corr = kernel.units(first, first + 1, balanced=False)
+        assert np.array_equal(corr, kernel.spectra(ids))
+        assert np.array_equal(sizes, np.full(ids.size, kernel.orbits.sizes[first]))
+        keep = corr[:, 0] == 0
+        b_ids, b_sizes, b_corr = kernel.units(first, first + 1, balanced=True)
+        assert np.array_equal(b_ids, ids[keep]) and np.array_equal(b_sizes, sizes[keep])
+        assert np.array_equal(b_corr, corr[keep])
+    if n <= 4:
+        for metric in ("mei", "ei"):
+            plain = sweep(SearchJob("general", n, metric, chunk_bits=2), threads=1)
+            balanced = sweep(SearchJob("general", n, metric, ("balanced",), chunk_bits=2), threads=1)
+            assert plain.functions_scanned == balanced.functions_scanned == 1 << (1 << n)
 
 
 def test_low_half_orbit_representatives():
     # translations x permutations of X1..X_{n-1} x output complement: one orbit
     # per NPN class of (n-1)-variable functions
     for n, expected in zip(range(1, 6), (1, 2, 4, 14, 222)):
-        tab = _general_tables(n)
-        reps, sizes = tab.orbits.reps, tab.orbits.sizes
+        kernel = _kernel("general", n)
+        reps, sizes = kernel.orbits.reps, kernel.orbits.sizes
         assert reps.size == expected
-        assert int(sizes.sum()) == tab.nh == 1 << (1 << (n - 1))
+        assert int(sizes.sum()) == kernel.T.shape[0] == 1 << (1 << (n - 1))
         assert np.all(np.diff(reps) > 0)
-        orbits = np.sort(tab.orbits.images(reps), axis=0)  # one column per orbit
+        orbits = np.sort(kernel.orbits.images(reps), axis=0)  # one column per orbit
         assert np.array_equal(orbits[0], reps)
         assert np.array_equal(1 + np.count_nonzero(np.diff(orbits, axis=0), axis=0), sizes)
 
@@ -152,21 +177,23 @@ def test_low_half_orbit_maps_permute_spectra():
     # column; that column map keeps Hamming weight, so acting on both halves at
     # once it only reorders the squared correlations of [A+B | A-B] within weights
     for n in range(1, 6):
-        tab = _general_tables(n)
-        points, weight = np.arange(tab.h), popcounts(tab.h)
-        units = tab.orbits.images(np.concatenate([[0], 1 << points]))
-        assert units.shape[0] == math.factorial(n - 1) * tab.h * 2
+        kernel = _kernel("general", n)
+        T, orbits = kernel.T, kernel.orbits
+        nh, h = T.shape
+        points, weight = np.arange(h), popcounts(h)
+        units = orbits.images(np.concatenate([[0], 1 << points]))
+        assert units.shape[0] == math.factorial(n - 1) * h * 2
         assert np.unique(units, axis=0).shape[0] == units.shape[0]  # distinct elements
         flips = units[:, :1]
-        assert np.all((flips == 0) | (flips == tab.nh - 1))
+        assert np.all((flips == 0) | (flips == nh - 1))
         moved = units[:, 1:] ^ flips  # moved[g, s] = the one-point table at sigma^-1(s)
         target = np.log2(moved).astype(np.int64)
         sigma = np.argsort(target, axis=1)
         cols = sigma ^ sigma[:, :1]
         assert np.array_equal(weight[cols], np.broadcast_to(weight, cols.shape))
-        ids = np.unique(np.linspace(0, tab.nh - 1, num=min(tab.nh, 128)).astype(np.int64))
-        image = tab.T[tab.orbits.images(ids)]  # (element, id, point)
-        expected = tab.T[ids][:, cols].transpose(1, 0, 2)
+        ids = np.unique(np.linspace(0, nh - 1, num=min(nh, 128)).astype(np.int64))
+        image = T[orbits.images(ids)]  # (element, id, point)
+        expected = T[ids][:, cols].transpose(1, 0, 2)
         kept, negated = (image == expected).all(axis=1), (image == -expected).all(axis=1)
         assert np.all(kept | negated), n
 
@@ -180,7 +207,7 @@ FUNCTION_ORBITS = {
 @pytest.mark.parametrize("family", sorted(FUNCTION_ORBITS))
 def test_function_orbit_representatives(family):
     for n, expected in enumerate(FUNCTION_ORBITS[family], start=1):
-        kernel = _orbit_kernel(family, n)
+        kernel = _kernel(family, n)
         reps, sizes = kernel.orbits.reps, kernel.orbits.sizes
         assert reps.size == expected, n
         assert int(sizes.sum()) == 1 << kernel.sizes.size
@@ -196,7 +223,7 @@ def test_function_orbit_maps_permute_spectra(family):
     # equal weight and equal orbit size: the columns of the image rows are the
     # columns of the original rows, matched with their sizes and weights
     for n in range(1, len(FUNCTION_ORBITS[family]) + 1):
-        kernel = _orbit_kernel(family, n)
+        kernel = _kernel(family, n)
         count = 1 << kernel.sizes.size
         ids = np.unique(np.linspace(0, count - 1, num=min(count, 3000)).astype(np.int64))
 
@@ -418,7 +445,7 @@ def test_orbit_sweep_matches_dense_scan(filters, total):
 
 def dense_family_achievers(family: str, n: int, metric: str, balanced: bool):
     """Exact maximum, every achiever and the balanced achievers, scanning every function id."""
-    kernel = _orbit_kernel(family, n)
+    kernel = _kernel(family, n)
     ids = np.arange(1 << kernel.sizes.size, dtype=np.int64)
     corr = kernel.spectra(ids)
     c2 = corr * corr
@@ -449,7 +476,7 @@ def test_function_orbit_sweep_matches_dense_scan(family, n_max, metric, filters)
         best, achievers, balanced = dense_family_achievers(family, n, metric, bool(filters))
         job = SearchJob(family, n, metric, filters, chunk_bits=3, witness_cap=4096)
         r = sweep(job, threads=1)
-        assert r.functions_scanned == 1 << _orbit_kernel(family, n).sizes.size
+        assert r.functions_scanned == 1 << _kernel(family, n).sizes.size
         assert r.best_ratio.value == best.value, n
         assert r.witness_total == len(achievers) and r.balanced_at_best == balanced, n
         assert list(r.witnesses) == [expand_witness(job, v).to_hex() for v in achievers], n
@@ -610,6 +637,30 @@ def test_checkpoint_duplicate_chunk_rejected(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data + data[_CKPT_HEADER.size : _CKPT_HEADER.size + rec_size])
     with pytest.raises(CheckpointError, match="chunk 0 is recorded twice"):
+        sweep(job, threads=1)
+
+
+@pytest.mark.parametrize(
+    "offset, fmt, value, match",
+    [
+        (0, "<Q", 99, "chunk 99 is outside the job's 8 chunks"),
+        (16, "<q", 1 << 40, r"best id 1099511627776 outside \[-1, 65536\)"),
+        (16, "<q", -2, r"best id -2 outside \[-1, 65536\)"),
+        (48, "<Q", 1 << 16, r"a witness id outside \[0, 65536\)"),
+        (40, "<Q", 17, "17 witnesses, above the cap 16"),
+    ],
+    ids=["chunk", "best-high", "best-low", "witness", "witness-count"],
+)
+def test_checkpoint_record_out_of_range(tmp_path, offset, fmt, value, match):
+    # a record with a valid CRC is still outside input: every field must fit the job
+    job, path, _, rec_size = _checkpointed(tmp_path)
+    data = bytearray(path.read_bytes())
+    record = memoryview(data)[-rec_size:]
+    assert struct.unpack_from("<Q", record, 40)[0] >= 1  # the last chunk has a witness
+    struct.pack_into(fmt, record, offset, value)
+    struct.pack_into("<I", record, rec_size - 4, zlib.crc32(record[:-4]))
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match=match):
         sweep(job, threads=1)
 
 

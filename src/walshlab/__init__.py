@@ -15,7 +15,7 @@ from .core import (
     walsh_transform,
 )
 from .metrics import (
-    ExactValue,
+    LogLinear,
     MetricsReport,
     SpectrumError,
     classify,

@@ -8,10 +8,12 @@ with the large composed functions it seeds.
 
 The analytic paths never materialise large tables: a 30-variable composed
 function is described exactly by the dense spectra of its small factors.
+Every reported value is an exact ``LogLinear``: influence multiplies,
+entropy composes as H(f) + Inf(f) * H(g), and min-entropy is log2 of the
+exact composition peak, so each rule is an identity, not an approximation.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,7 +28,7 @@ from .core import (
     reverse,
     walsh_transform,
 )
-from .metrics import ExactValue, MetricsReport, classify, entropy, ratio
+from .metrics import LogLinear, MetricsReport, classify, entropy, ratio
 
 _CHUNK = 1 << 20
 
@@ -214,13 +216,13 @@ def composition_peak(outer_spectrum: Spectrum, inner_spectrum: Spectrum) -> Comp
     return CompositionPeak(best, best_i, best_w)
 
 
-def disjoint_min_entropy(spec: CompositionSpec) -> ExactValue:
+def disjoint_min_entropy(spec: CompositionSpec) -> LogLinear:
     """Min-entropy of the composition from its factors' dense spectra."""
     fs = walsh_transform(spec.outer)
     gs = walsh_transform(spec.inner)
     _require_balanced_inner(spec, gs)
     peak = composition_peak(fs, gs)
-    return ExactValue.log2_of(1 / peak.best)
+    return LogLinear.log2(1 / peak.best)
 
 
 # --- Analytic reports ---------------------------------------------------------
@@ -238,11 +240,11 @@ class AnalyticReport:
     """Metrics of a composed function, each field tagged with its producing rule."""
 
     arity: int
-    influence: ExactValue
-    entropy: ExactValue | None
-    min_entropy: ExactValue | None
-    ei_ratio: ExactValue | None
-    mei_ratio: ExactValue | None
+    influence: LogLinear
+    entropy: LogLinear | None
+    min_entropy: LogLinear | None
+    ei_ratio: LogLinear | None
+    mei_ratio: LogLinear | None
     provenance: dict[str, str] = field(default_factory=dict)
     details: dict[str, str] = field(default_factory=dict)
 
@@ -253,7 +255,7 @@ class PalindromicSpec:
 
     base: TruthTable
     b: int
-    epsilon_b: ExactValue
+    epsilon_b: LogLinear
 
 
 def epsilon_mass(s: Spectrum, b: int) -> Fraction:
@@ -278,7 +280,7 @@ def palindromic_extend(
         top = top.complement()
     extended = TruthTable(g.n + 1, g.bits | (top.bits << g.size))
     eps = epsilon_mass(spectrum if spectrum is not None else walsh_transform(g), b)
-    return extended, PalindromicSpec(g, b, ExactValue.from_fraction(eps))
+    return extended, PalindromicSpec(g, b, LogLinear.from_fraction(eps))
 
 
 def _base_profile(g: TruthTable) -> tuple[Spectrum, MetricsReport]:
@@ -305,12 +307,12 @@ def ot_recursion_metrics(g: TruthTable, m: int) -> AnalyticReport:
     gs, rep = _base_profile(g)
     inf_g, h_g, hmin_g = rep.influence.rational, rep.entropy, rep.min_entropy
     hypothesis = _weight1_attains_max(gs)
-    influence = ExactValue.from_fraction(inf_g ** (m + 1))
+    influence = LogLinear.from_fraction(inf_g ** (m + 1))
     h = h_g
     for _ in range(m):
-        h = h_g + h * ExactValue.from_fraction(inf_g)
+        h = h_g + h * inf_g
     if m == 0 or hypothesis:
-        hmin = hmin_g * ExactValue.from_fraction(m + 1)
+        hmin = hmin_g * (m + 1)
     else:
         hmin = None
     details = {"weight1-attains-max": str(hypothesis).lower()}
@@ -339,7 +341,8 @@ def gb_construction_report(g: TruthTable, b: int) -> AnalyticReport:
     itself; both spectra are dense at n+1 and n variables, so the composed
     function's influence and min-entropy are exact without a large transform.
     When g is plateaued and exactly t-resilient with t = b (mod 2), the
-    closed-form ratio for that case is evaluated and its agreement recorded.
+    closed-form ratio Hmin(g) * (t + 3) / (Inf(g) * Inf(g_b)) for that case is
+    evaluated and its exact agreement recorded.
     """
     gs, rep = _base_profile(g)
     inf_g, h_g, hmin_g = rep.influence.rational, rep.entropy, rep.min_entropy
@@ -347,10 +350,10 @@ def gb_construction_report(g: TruthTable, b: int) -> AnalyticReport:
     gbs = walsh_transform(gb)
     eps = pspec.epsilon_b.rational
     inf_gb = inf_g + eps
-    influence = ExactValue.from_fraction(inf_g * inf_gb)
+    influence = LogLinear.from_fraction(inf_g * inf_gb)
     peak = composition_peak(gbs, gs)
-    hmin = ExactValue.log2_of(1 / peak.best)
-    h = entropy(gbs) + h_g * ExactValue.from_fraction(inf_gb)
+    hmin = LogLinear.log2(1 / peak.best)
+    h = entropy(gbs) + h_g * inf_gb
     mei = ratio(hmin, influence)
     details = {
         "epsilon_b": pspec.epsilon_b.as_str(),
@@ -364,18 +367,10 @@ def gb_construction_report(g: TruthTable, b: int) -> AnalyticReport:
     }
     t = rep.resilience_order
     if t >= 0 and t % 2 == b and rep.plateaued:
-        closed = None
-        if hmin_g.exact:
-            closed = ExactValue.from_fraction(
-                hmin_g.rational / inf_g * Fraction(t + 3) / inf_gb
-            )
-            agrees = mei is not None and mei.exact and mei.rational == closed.rational
-        else:
-            closed = ExactValue.from_float(hmin_g.value / float(inf_g) * (t + 3) / float(inf_gb))
-            agrees = mei is not None and math.isclose(mei.value, closed.value, abs_tol=1e-12)
+        closed = hmin_g * (t + 3) / (inf_g * inf_gb)
         details["resilience-order"] = str(t)
         details["closed-form-ratio"] = closed.as_str()
-        details["closed-form-agrees"] = str(bool(agrees)).lower()
+        details["closed-form-agrees"] = str(mei == closed).lower()
         provenance["closed_form"] = RESILIENT_PLATEAUED_FORM
     return AnalyticReport(
         arity=g.n * (g.n + 1),

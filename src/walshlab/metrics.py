@@ -1,31 +1,29 @@
 """Spectral metrics: entropy, min-entropy, influence, classification, ratios.
 
-Everything that can be exact is exact: influence is always a rational with
-denominator dividing 4^n, min-entropy is an integer whenever the largest
-squared correlation is a power of two, and entropy is binary64 otherwise.
-That binary64 value is the correctly rounded sum of the per-point terms
-c^2 * log2(c^2), at every n: the terms are equal on points of equal |c|, so
-the sum is taken exactly over the distinct levels of |c|, each term times
-its multiplicity, and rounded once. It equals ``math.fsum`` over the points
-and does not depend on the platform's ``long double``. ``ExactValue``
-carries both the exact rational (when one exists) and a binary64 shadow.
+Every metric is exact, and one number type holds them all: ``LogLinear``,
+the real (K + sum of e_p * log2 p) / D over odd primes p, with integers K,
+e_p and D (``log2_terms`` splits log2 of an integer that way). Influence is
+rational, with a denominator dividing 4^n. Min-entropy is log2 of the
+rational 4^n / max c^2. Entropy is (2n * 4^n - sum of c^2 * log2 c^2) / 4^n,
+summed over the distinct levels of |c|, each term times its multiplicity
+(``entropy_of_levels``). A ratio is one of them divided by the influence.
+
+In lowest terms (as :meth:`LogLinear.of` builds them) equal values have
+equal fields, and ``compare`` orders unequal values exactly. ``value`` is the
+correctly rounded binary64 value, computed on first use. ``as_str`` writes
+the exact value and ``LogLinear.parse`` reads it back.
 
 Every metric reads one histogram of |c| (``_profile``), which also checks
 the Parseval identity.
-
-``LogLinear`` is the exact form of every sweep ratio: (K + sum of e_p *
-log2 p) / D over odd primes p, with integers K, e_p and D (``log2_terms``
-splits log2 of an integer that way). In lowest terms, equal values have
-equal fields, and ``compare`` orders unequal values exactly. Its binary64
-``value`` is correctly rounded. The entropy of ``classify`` is not yet
-carried in this form.
 """
 from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 from mpmath.libmp import from_int, mpf_log, round_ceiling, round_floor
@@ -37,58 +35,17 @@ class SpectrumError(ValueError):
     """A spectrum has an odd or out-of-range entry or fails Parseval; the data is corrupted."""
 
 
-@dataclass(frozen=True)
-class ExactValue:
-    """A number with a binary64 shadow and, when available, its exact rational."""
-
-    value: float
-    rational: Fraction | None = None
-
-    @property
-    def exact(self) -> bool:
-        return self.rational is not None
-
-    @classmethod
-    def from_fraction(cls, q: Fraction | int) -> "ExactValue":
-        q = Fraction(q)
-        return cls(float(q), q)
-
-    @classmethod
-    def from_float(cls, x: float) -> "ExactValue":
-        return cls(float(x))
-
-    @classmethod
-    def log2_of(cls, q: Fraction) -> "ExactValue":
-        """log2 of a positive rational; exact when q is a power of two."""
-        if q <= 0:
-            raise ValueError("log2 of a non-positive value")
-        num, den = q.numerator, q.denominator
-        if num & (num - 1) == 0 and den & (den - 1) == 0:
-            return cls.from_fraction(num.bit_length() - den.bit_length())
-        return cls(math.log2(num) - math.log2(den))
-
-    def __add__(self, other: "ExactValue") -> "ExactValue":
-        if self.exact and other.exact:
-            return ExactValue.from_fraction(self.rational + other.rational)
-        return ExactValue.from_float(self.value + other.value)
-
-    def __mul__(self, other: "ExactValue") -> "ExactValue":
-        if self.exact and other.exact:
-            return ExactValue.from_fraction(self.rational * other.rational)
-        return ExactValue.from_float(self.value * other.value)
-
-    def as_str(self) -> str:
-        if self.rational is not None:
-            q = self.rational
-            return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        return repr(self.value)
-
-
-@functools.lru_cache(maxsize=1 << 12)
+# Holds every distinct level |c| of an n = 24 spectrum (about 5,000), so that
+# repeated entropies at that size hit the cache instead of factoring again.
+@functools.lru_cache(maxsize=1 << 16)
 def log2_terms(c: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(a, ((p, e), ...)) with log2 c = a + sum of e * log2 p over odd primes p; c >= 1."""
     a = (c & -c).bit_length() - 1
     q, p, odd = c >> a, 3, []
+    r = math.isqrt(q)
+    if r * r == q > 1:  # a square factors through its root, so c^2 costs no more than c
+        _, root = log2_terms(r)
+        return a, tuple((p, 2 * e) for p, e in root)
     while p * p <= q:
         e = 0
         while q % p == 0:
@@ -101,17 +58,24 @@ def log2_terms(c: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return a, tuple(odd)
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_IRRATIONAL = re.compile(r"\((-?[0-9]+)((?: [+-] [0-9]+\*log2\([0-9]+\))+)\)/([0-9]+)")
+_TERM = re.compile(r" ([+-]) ([0-9]+)\*log2\(([0-9]+)\)")
+
+
+@functools.total_ordering
 @dataclass(frozen=True)
 class LogLinear:
     """The exact real (const + sum of coef * log2 p) / den, p over odd primes.
 
-    Every sweep ratio has this form, because |c| = 2^a * q with q odd. 1 and
-    the log2 p are linearly independent over Q, so in lowest terms (as
-    :meth:`of` builds them) two values are equal exactly when their fields
-    are, and a value is rational exactly when ``logs`` is empty. Unequal
-    values are ordered by their correctly rounded binary64 values, or when
-    those coincide by interval enclosures at doubling precision, which
-    always separate them.
+    Every metric has this form, because |c| = 2^a * q with q odd. 1 and the
+    log2 p are linearly independent over Q, so in lowest terms (as :meth:`of`
+    builds them) two values are equal exactly when their fields are, and a
+    value is rational exactly when ``logs`` is empty. Unequal values are
+    ordered by their correctly rounded binary64 values, or when those
+    coincide by interval enclosures at doubling precision, which always
+    separate them. The arithmetic is what the composition rules need: sums,
+    products and quotients with rationals, and log2 of a positive rational.
     """
 
     const: int
@@ -122,9 +86,71 @@ class LogLinear:
     def of(cls, const: int, logs: dict[int, int], den: int) -> "LogLinear":
         if den == 0:
             raise ZeroDivisionError("LogLinear with a zero denominator")
-        logs = {p: e for p, e in logs.items() if e}
         g = math.gcd(const, den, *logs.values()) * (1 if den > 0 else -1)
-        return cls(const // g, tuple(sorted((p, e // g) for p, e in logs.items())), den // g)
+        if g != 1:
+            const, den, logs = const // g, den // g, {p: e // g for p, e in logs.items()}
+        return cls(const, tuple(sorted([t for t in logs.items() if t[1]])), den)
+
+    @classmethod
+    def from_fraction(cls, q: Fraction | int) -> "LogLinear":
+        q = Fraction(q)
+        return cls(q.numerator, (), q.denominator)
+
+    @classmethod
+    def log2(cls, q: Fraction | int) -> "LogLinear":
+        """log2 of a positive rational."""
+        if q.numerator <= 0:
+            raise ValueError("log2 of a non-positive value")
+        a, num = log2_terms(q.numerator)
+        b, den = log2_terms(q.denominator)  # coprime to the numerator: no prime in both
+        return cls.of(a - b, {**dict(num), **{p: -e for p, e in den}}, 1)
+
+    @classmethod
+    def parse(cls, text: str) -> "LogLinear":
+        """The value that :meth:`as_str` writes as ``text``; ValueError for any other string."""
+        m = _RATIONAL.fullmatch(text)
+        if m is not None:
+            const, logs, den = int(m[1]), {}, int(m[2] or 1)
+        else:
+            m = _IRRATIONAL.fullmatch(text)
+            if m is None:
+                raise ValueError(f"not an exact value: {text!r}")
+            const, logs, den = int(m[1]), {}, int(m[3])
+            for sign, e, p in _TERM.findall(m[2]):
+                p = int(p)  # every level |c| <= 2^28 has only prime factors below 2^32
+                if not (2 < p < 1 << 32 and log2_terms(p) == (0, ((p, 1),))):
+                    raise ValueError(f"{text!r}: {p} is not an odd prime below 2^32")
+                logs[p] = int(sign + e)
+        if den == 0:
+            raise ValueError(f"{text!r}: zero denominator")
+        value = cls.of(const, logs, den)
+        if value.as_str() != text:
+            raise ValueError(f"{text!r} is not written as as_str writes {value.as_str()!r}")
+        return value
+
+    def as_str(self) -> str:
+        """"k" or "num/den" for a rational, else "(K - 60*log2(3) + 4*log2(5))/D"."""
+        if not self.logs:
+            return str(self.const) if self.den == 1 else f"{self.const}/{self.den}"
+        terms = "".join([f" {'-' if e < 0 else '+'} {abs(e)}*log2({p})" for p, e in self.logs])
+        return f"({self.const}{terms})/{self.den}"
+
+    def __add__(self, other: "LogLinear") -> "LogLinear":
+        logs = {p: e * other.den for p, e in self.logs}
+        for p, e in other.logs:
+            logs[p] = logs.get(p, 0) + e * self.den
+        return LogLinear.of(self.const * other.den + other.const * self.den, logs, self.den * other.den)
+
+    def _scale(self, num: int, den: int) -> "LogLinear":
+        return LogLinear.of(self.const * num, {p: e * num for p, e in self.logs}, self.den * den)
+
+    def __mul__(self, q: Fraction | int) -> "LogLinear":
+        """The product with a rational."""
+        return self._scale(q.numerator, q.denominator)
+
+    def __truediv__(self, q: Fraction | int) -> "LogLinear":
+        """The quotient by a nonzero rational."""
+        return self._scale(q.denominator, q.numerator)
 
     @property
     def rational(self) -> Fraction | None:
@@ -153,16 +179,10 @@ class LogLinear:
             return 0
         if self.value != other.value:  # rounding is monotone, so this order is exact
             return 1 if self.value > other.value else -1
-        logs = {p: e * other.den for p, e in self.logs}
-        for p, e in other.logs:
-            logs[p] = logs.get(p, 0) - e * self.den
-        const = self.const * other.den - other.const * self.den
-        logs = tuple((p, e) for p, e in logs.items() if e)
-        if not logs:
-            return (const > 0) - (const < 0)
-        prec = _start_prec(const, logs, 1)
+        d = self + other * -1  # den > 0, so the numerator has the sign of the difference
+        prec = _start_prec(d.const, d.logs, 1)
         while True:  # ends: a nonzero value is eventually separated from 0
-            lo, hi = _enclose(const, logs, prec)
+            lo, hi = _enclose(d.const, d.logs, prec)
             if lo > 0 or hi < 0:
                 return 1 if lo > 0 else -1
             prec *= 2
@@ -194,13 +214,28 @@ def _enclose(const: int, logs, prec: int) -> tuple[int, int]:
     return lo, hi
 
 
-def ratio(numerator: ExactValue, denominator: ExactValue) -> ExactValue | None:
-    """numerator/denominator, exact when both sides are; None when undefined."""
-    if denominator.value == 0 and (denominator.rational is None or denominator.rational == 0):
-        return None
-    if numerator.exact and denominator.exact:
-        return ExactValue.from_fraction(numerator.rational / denominator.rational)
-    return ExactValue.from_float(numerator.value / denominator.value)
+def entropy_of_levels(n: int, levels: Iterable[int], counts: Iterable[int]) -> LogLinear:
+    """(2n * 4^n - sum of count * c^2 * log2 c^2) / 4^n: the entropy of a spectrum
+    with ``count`` points at each level |c| (a level 0 adds nothing).
+
+    Summed as (n * 4^n - sum of count * c^2 * log2 |c|) / (4^n / 2), n >= 1.
+    """
+    tot = 4**n
+    const, logs = n * tot, {}
+    get = logs.get
+    for v, k in zip(levels, counts):
+        if v:
+            a, odd = log2_terms(v)
+            w = k * v * v
+            const -= w * a
+            for p, e in odd:
+                logs[p] = get(p, 0) - w * e
+    return LogLinear.of(const, logs, tot >> 1)
+
+
+def ratio(numerator: LogLinear, influence: LogLinear) -> LogLinear | None:
+    """numerator / influence, which must be rational; None at zero influence."""
+    return numerator._scale(influence.den, influence.const) if influence.const else None
 
 
 @dataclass(frozen=True)
@@ -214,12 +249,12 @@ class MetricsReport:
     plateaued: bool
     plateau_level: int | None
     bent: bool
-    entropy: ExactValue
-    min_entropy: ExactValue
-    influence: ExactValue
+    entropy: LogLinear
+    min_entropy: LogLinear
+    influence: LogLinear
     max_corr_sq: int
-    ei_ratio: ExactValue | None
-    mei_ratio: ExactValue | None
+    ei_ratio: LogLinear | None
+    mei_ratio: LogLinear | None
 
 
 @dataclass(frozen=True)
@@ -260,30 +295,18 @@ def _profile(s: Spectrum) -> _Profile:
     return _Profile(s.n, levels, counts, s.size - int(hist[0]))
 
 
-def _entropy(p: _Profile) -> ExactValue:
-    if p.plateaued and p.support & (p.support - 1) == 0:
-        return ExactValue.from_fraction(p.support.bit_length() - 1)
-    v = np.array(p.levels, dtype=np.float64)
-    terms = (v * v) * (2.0 * np.log2(v))
-    # Exact sum of count * term over the levels (all dyadic), rounded once.
-    parts = [t.as_integer_ratio() for t in terms.tolist()]
-    den = max(d for _, d in parts)
-    acc = sum(k * num * (den // d) for k, (num, d) in zip(p.counts, parts)) / den
-    return ExactValue.from_float(2 * p.n - acc / float(4**p.n))
+def _min_entropy(p: _Profile) -> LogLinear:
+    return LogLinear.log2(Fraction(4**p.n, p.max_corr_sq))
 
 
-def _min_entropy(p: _Profile) -> ExactValue:
-    return ExactValue.log2_of(Fraction(4**p.n, p.max_corr_sq))
-
-
-def _influence(s: Spectrum) -> ExactValue:
+def _influence(s: Spectrum) -> LogLinear:
     # weight(r*C + c) = weight(r) + weight(c) on the R x C view of the points
     cols = 1 << (s.n // 2)
     m = s.corr.reshape(-1, cols)
     rows = np.einsum("rc,rc->r", m, m)
     col_sums = np.einsum("rc,rc->c", m, m)
     total = int(popcounts(m.shape[0]) @ rows + col_sums @ popcounts(cols))
-    return ExactValue.from_fraction(Fraction(total, 4**s.n))
+    return LogLinear.of(total, {}, 4**s.n)
 
 
 def _resilience(s: Spectrum) -> int:
@@ -292,35 +315,34 @@ def _resilience(s: Spectrum) -> int:
     return int(np.bitwise_count(np.flatnonzero(s.corr)).min()) - 1
 
 
-def entropy(s: Spectrum) -> ExactValue:
+def entropy(s: Spectrum) -> LogLinear:
     """Shannon entropy of the squared-spectrum distribution, in bits.
 
-    Exact only in the plateaued case with a power-of-two support, where it
-    equals log2(support size); otherwise the correctly rounded binary64 value
-    of 2n - sum(c^2 * log2(c^2)) / 4^n.
+    Rational exactly when every nonzero |c| is a power of two.
     """
-    return _entropy(_profile(s))
+    p = _profile(s)
+    return entropy_of_levels(p.n, p.levels, p.counts)
 
 
-def min_entropy(s: Spectrum) -> ExactValue:
+def min_entropy(s: Spectrum) -> LogLinear:
     """-log2 of the largest squared normalised Walsh value."""
     return _min_entropy(_profile(s))
 
 
-def influence_spectral(s: Spectrum) -> ExactValue:
+def influence_spectral(s: Spectrum) -> LogLinear:
     """Total influence from the weight-weighted squared spectrum; always exact."""
     _profile(s)
     return _influence(s)
 
 
-def influence_probe(f: TruthTable) -> ExactValue:
+def influence_probe(f: TruthTable) -> LogLinear:
     """Total influence by direct counting of output flips; always exact."""
     arr = f.bit_array()
     half_flips = 0
     for i in range(f.n):
         v = arr.reshape(-1, 2, 1 << i)
         half_flips += int(np.count_nonzero(v[:, 0, :] != v[:, 1, :]))
-    return ExactValue.from_fraction(Fraction(half_flips, 1 << (f.n - 1)))
+    return LogLinear.of(half_flips, {}, 1 << (f.n - 1))
 
 
 def resilience_order(s: Spectrum) -> int:
@@ -333,7 +355,7 @@ def classify(s: Spectrum) -> MetricsReport:
     """All metrics, classification flags, and both conjecture ratios."""
     p = _profile(s)
     corr0 = int(s.corr[0])
-    h = _entropy(p)
+    h = entropy_of_levels(p.n, p.levels, p.counts)
     hmin = _min_entropy(p)
     inf = _influence(s)
     return MetricsReport(

@@ -1,11 +1,13 @@
 """Stable serialisation (JSON/CSV) and the claim-verification suite.
 
-Exact rationals serialise as ``"num/den"`` strings (integers as ``"k"``),
-binary64 values as JSON numbers; a value round-trips with its exactness.
-Every document carries ``schema_version``. The verification suite replays
-the toolkit's headline numeric claims and returns a pass/fail ledger whose
-entries are ordered by claim id; long-running sweep claims are skipped
-unless the full scope is requested.
+Every value is exact and serialises as the string ``LogLinear.as_str``
+writes: ``"num/den"`` (integers ``"k"``) for a rational, otherwise
+``"(K - 60*log2(3) + 4*log2(5))/D"``. Serialising never evaluates a binary64
+value, and parsing accepts exactly those strings. Every document carries
+``schema_version`` 2; readers reject any other version. The verification
+suite replays the toolkit's headline numeric claims and returns a pass/fail
+ledger whose entries are ordered by claim id; long-running sweep claims are
+skipped unless the full scope is requested.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import io
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -23,7 +25,7 @@ import numpy as np
 from . import construct, search
 from .core import Spectrum, TruthTable, popcounts, reverse, table_from_anf, walsh_transform
 from .metrics import (
-    ExactValue,
+    LogLinear,
     MetricsReport,
     classify,
     entropy,
@@ -31,7 +33,7 @@ from .metrics import (
     influence_spectral,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2  # 2: irrational values are exact strings, not JSON numbers
 
 # The two 5-variable reference functions driving the headline claims: the
 # exhaustive-search ratio maximiser and the seed of the 30-variable
@@ -44,62 +46,60 @@ QUINTIC_SEED_ANF = (
 )
 
 
-def value_to_json(v: ExactValue | None):
-    if v is None:
-        return None
-    if v.exact:
-        return v.as_str()
-    return v.value
+def value_to_json(v: LogLinear | None) -> str | None:
+    return None if v is None else v.as_str()
 
 
-def value_from_json(doc) -> ExactValue | None:
+def value_from_json(doc) -> LogLinear | None:
+    """The value of a JSON string written by ``value_to_json``; ValueError for anything else."""
     if doc is None:
         return None
-    if isinstance(doc, str):
-        if "/" in doc:
-            num, den = doc.split("/")
-            return ExactValue.from_fraction(Fraction(int(num), int(den)))
-        return ExactValue.from_fraction(Fraction(int(doc)))
-    return ExactValue.from_float(float(doc))
+    if not isinstance(doc, str):
+        raise ValueError(f"an exact value is a JSON string, got {doc!r}")
+    return LogLinear.parse(doc)
 
 
-_METRIC_FIELDS = (
-    "n",
-    "weight",
-    "balanced",
-    "resilience_order",
-    "plateaued",
-    "plateau_level",
-    "bent",
-    "entropy",
-    "min_entropy",
-    "influence",
-    "max_corr_sq",
-    "ei_ratio",
-    "mei_ratio",
-)
-_METRIC_VALUE_FIELDS = ("entropy", "min_entropy", "influence", "ei_ratio", "mei_ratio")
-
-
-def metrics_to_dict(r: MetricsReport) -> dict:
-    doc = {"schema_version": SCHEMA_VERSION}
-    for name in _METRIC_FIELDS:
-        v = getattr(r, name)
-        doc[name] = value_to_json(v) if name in _METRIC_VALUE_FIELDS else v
+def _load_document(text: str) -> dict:
+    doc = json.loads(text)
+    version = doc.get("schema_version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"expected a schema_version {SCHEMA_VERSION} document, got version {version!r}")
     return doc
 
 
-def metrics_to_json(r: MetricsReport) -> str:
-    return json.dumps(metrics_to_dict(r))
+# Every other report field is an int, a bool, None or a dict of strings.
+_VALUE_FIELDS = frozenset(("entropy", "min_entropy", "influence", "ei_ratio", "mei_ratio"))
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in (MetricsReport, construct.AnalyticReport)}
+_METRIC_FIELDS = _FIELDS[MetricsReport]
+
+
+def _to_dict(r: MetricsReport | construct.AnalyticReport) -> dict:
+    doc = {"schema_version": SCHEMA_VERSION}
+    for name in _FIELDS[type(r)]:
+        v = getattr(r, name)
+        doc[name] = value_to_json(v) if name in _VALUE_FIELDS else dict(v) if isinstance(v, dict) else v
+    return doc
+
+
+def _to_json(r: MetricsReport | construct.AnalyticReport) -> str:
+    return json.dumps(_to_dict(r))
+
+
+def _from_json(cls, text: str):
+    doc = _load_document(text)
+    return cls(**{k: value_from_json(doc[k]) if k in _VALUE_FIELDS else doc[k] for k in _FIELDS[cls]})
+
+
+metrics_to_dict, metrics_to_json = _to_dict, _to_json
+analytic_to_dict, analytic_to_json = _to_dict, _to_json
 
 
 def metrics_from_json(text: str) -> MetricsReport:
-    doc = json.loads(text)
-    kwargs = {}
-    for name in _METRIC_FIELDS:
-        v = doc[name]
-        kwargs[name] = value_from_json(v) if name in _METRIC_VALUE_FIELDS else v
-    return MetricsReport(**kwargs)
+    return _from_json(MetricsReport, text)
+
+
+def analytic_from_json(text: str) -> construct.AnalyticReport:
+    return _from_json(construct.AnalyticReport, text)
 
 
 def metrics_to_csv(r: MetricsReport) -> str:
@@ -125,24 +125,6 @@ def spectrum_to_csv(s: Spectrum) -> str:
         writer.writerow((format(a, f"0{s.n}b"), int(wt[a]), c, f"{q.numerator}/{q.denominator}"))
     writer.writerow(("PARSEVAL", "", sum_sq, f"{Fraction(sum_sq, total)}"))
     return buf.getvalue()
-
-
-def analytic_to_dict(r: construct.AnalyticReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "arity": r.arity,
-        "influence": value_to_json(r.influence),
-        "entropy": value_to_json(r.entropy),
-        "min_entropy": value_to_json(r.min_entropy),
-        "ei_ratio": value_to_json(r.ei_ratio),
-        "mei_ratio": value_to_json(r.mei_ratio),
-        "provenance": dict(r.provenance),
-        "details": dict(r.details),
-    }
-
-
-def analytic_to_json(r: construct.AnalyticReport) -> str:
-    return json.dumps(analytic_to_dict(r))
 
 
 def search_result_to_dict(r: search.SearchResult) -> dict:
@@ -250,11 +232,11 @@ class _Ctx:
         return self.get("family", run)
 
 
-def _exact(v: ExactValue | None, q: Fraction) -> tuple[str, str, bool]:
-    want = ExactValue.from_fraction(q).as_str()
+def _exact(v: LogLinear | None, q: Fraction) -> tuple[str, str, bool]:
+    want = LogLinear.from_fraction(q)
     if v is None:
-        return want, "unavailable", False
-    return want, v.as_str(), bool(v.exact and v.rational == q)
+        return want.as_str(), "unavailable", False
+    return want.as_str(), v.as_str(), v == want
 
 
 def _claims(ctx: _Ctx) -> list[tuple[str, str, str, str, Callable[[], tuple[str, str, bool]]]]:
@@ -288,7 +270,7 @@ def _claims(ctx: _Ctx) -> list[tuple[str, str, str, str, Callable[[], tuple[str,
 
     def c07():
         eps = construct.epsilon_mass(walsh_transform(ctx.quintic_seed), 0)
-        return _exact(ExactValue.from_fraction(eps), Fraction(3, 8))
+        return _exact(LogLinear.from_fraction(eps), Fraction(3, 8))
 
     def c08():
         rep = construct.gb_construction_report(ctx.quintic_seed, 0)
@@ -335,7 +317,7 @@ def _claims(ctx: _Ctx) -> list[tuple[str, str, str, str, Callable[[], tuple[str,
             peak = construct.composition_peak(walsh_transform(f), walsh_transform(g))
             if Fraction(brute.max_corr_sq, 4**spec.arity) != peak.best:
                 return "exact peak equality", "mismatch", False
-            if abs(analytic.value - brute.min_entropy.value) > 1e-12:
+            if analytic != brute.min_entropy:
                 return "min-entropy equality", "mismatch", False
         return "exact equality on 100 instances", "100 instances equal", True
 
@@ -353,18 +335,16 @@ def _claims(ctx: _Ctx) -> list[tuple[str, str, str, str, Callable[[], tuple[str,
         return "exact influence product on 100 instances", "all equal", True
 
     def c13():
-        worst = 0.0
         for _ in range(100):
             k, l = rng.randint(2, 4), rng.randint(2, 4)
             f = TruthTable(k, rng.getrandbits(1 << k))
             g = _random_balanced(l)
             spec = construct.CompositionSpec(f, g)
-            h_fg = entropy(walsh_transform(construct.disjoint_compose(spec))).value
-            h_f = entropy(walsh_transform(f)).value
-            h_g = entropy(walsh_transform(g)).value
-            inf_f = float(influence_spectral(walsh_transform(f)).rational)
-            worst = max(worst, abs(h_fg - (h_f + h_g * inf_f)))
-        return "additivity within 1e-9", f"worst deviation {worst:.3e}", worst <= 1e-9
+            h_fg = entropy(walsh_transform(construct.disjoint_compose(spec)))
+            fs = walsh_transform(f)
+            if h_fg != entropy(fs) + entropy(walsh_transform(g)) * influence_spectral(fs).rational:
+                return "exact additivity", f"mismatch at k={k} l={l}", False
+        return "exact additivity on 100 instances", "100 instances equal", True
 
     def c14():
         wt_cache = {}
@@ -444,23 +424,18 @@ def _claims(ctx: _Ctx) -> list[tuple[str, str, str, str, Callable[[], tuple[str,
     def c23():
         job = search.SearchJob("general", 3, metric="mei", chunk_bits=3)
         res = search.sweep(job, threads=ctx.threads)
-        # independent naive scan of all 256 functions
+        # independent naive scan of all 256 functions, ranking ties on exact values
         best = None
         for v in range(1 << 8):
-            rep = classify(walsh_transform(TruthTable(3, v)))
-            if rep.mei_ratio is None:
+            key = classify(walsh_transform(TruthTable(3, v))).mei_ratio
+            if key is None:
                 continue
-            val = rep.mei_ratio.value
-            if best is None or val > best + 1e-12:
-                best, cnt = val, 1
-            elif abs(val - best) <= 1e-12:
+            if best is None or key > best:
+                best, cnt = key, 1
+            elif key == best:
                 cnt += 1
-        ok = (
-            res.best_ratio is not None
-            and abs(res.best_ratio.value - best) <= 1e-12
-            and res.witness_total == cnt
-        )
-        return f"max {best:.6f} x{cnt}", f"max {res.best_ratio.value:.6f} x{res.witness_total}", ok
+        ok = res.best_ratio == best and res.witness_total == cnt
+        return f"max {best.as_str()} x{cnt}", f"max {res.best_ratio.as_str()} x{res.witness_total}", ok
 
     def c24():
         job = search.SearchJob("general", 5, metric="mei", chunk_bits=8)

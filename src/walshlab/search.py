@@ -38,11 +38,13 @@ over the halves of the id bits.
 
 Aggregation is associative and exact. Every ratio of a function is an exact
 ``LogLinear`` key (K + sum of e_p * log2 p) / D with integers K, e_p, D, built
-from its squared correlations (|c| = 2^a * q, q odd): ``ei`` from all of them,
-``mei`` and ``ot1-mei`` from the largest. Maxima, ties, counts and witnesses
-are decided on these keys, so results are identical for every chunking and
-worker count. Float ratios only pick the candidate rows that get a key. A
-count threshold is rational, so a row with an irrational ratio never counts.
+from its squared correlations (|c| = 2^a * q, q odd): ``ei`` from all of them
+(``metrics.entropy_of_levels``), ``mei`` and ``ot1-mei`` from the largest. A
+key is the value ``metrics.classify`` reports, and a result's ``best_ratio``
+is the key itself. Maxima, ties, counts and witnesses are decided on these
+keys, so results are identical for every chunking and worker count. Float
+ratios only pick the candidate rows that get a key. A count threshold is
+rational, so a row with an irrational ratio never counts.
 """
 from __future__ import annotations
 
@@ -56,7 +58,6 @@ import re
 import struct
 import time
 import zlib
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,7 +66,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .core import TruthTable, fwht_inplace, popcounts
-from .metrics import ExactValue, LogLinear, log2_terms
+from .metrics import LogLinear, entropy_of_levels
 
 FAMILIES = ("general", "symmetric", "rotsym")
 METRICS = ("mei", "ei", "ot1-mei")
@@ -287,7 +288,7 @@ class SearchResult:
 
     job: SearchJob
     functions_scanned: int
-    best_ratio: ExactValue | None
+    best_ratio: LogLinear | None
     max_corr_sq: int | None
     influence_numerator: int | None  # influence of the maximisers = this / 4^n
     witness_total: int
@@ -316,22 +317,15 @@ def _ratio_key(
     """Exact ratio of one function from its influence numerator and squared correlations.
 
     For ``ei`` entry c2[j] stands for sizes[j] spectral points; ``mei`` and
-    ``ot1-mei`` read only the largest entry m.
+    ``ot1-mei`` read only the largest entry m. The values are the ones
+    ``metrics.classify`` reports.
     """
-    tot = 4**n
-    if metric == "ei":  # (2n * 4^n - sum of c^2 * log2 c^2) / I
-        const, logs = 2 * n * tot, Counter()
-        for v, k in zip(c2, sizes):
-            if v:
-                a, odd = log2_terms(math.isqrt(v))
-                const -= 2 * k * v * a
-                for p, e in odd:
-                    logs[p] -= 2 * k * v * e
-        return LogLinear.of(const, logs, inf)
-    a, odd = log2_terms(math.isqrt(max(c2)))
-    # mei = (2n - log2 m) * 4^n / I, ot1-mei = 2 * (2n - log2 m) * 16^n / I^2
-    scale, den = (tot, inf) if metric == "mei" else (2 * tot * tot, inf * inf)
-    return LogLinear.of((2 * n - 2 * a) * scale, {p: -2 * e * scale for p, e in odd}, den)
+    influence = Fraction(inf, 4**n)
+    if metric == "ei":
+        return entropy_of_levels(n, map(math.isqrt, c2), sizes) / influence
+    hmin = LogLinear.log2(Fraction(4**n, max(c2)))
+    # ot1-mei is the mei ratio after one disjoint self-composition: 2 * Hmin / I^2
+    return hmin / influence if metric == "mei" else hmin * 2 / influence**2
 
 
 def _function_key(job: SearchJob, fid: int) -> tuple[int, int, LogLinear]:
@@ -640,8 +634,7 @@ def _eval_chunk(job: SearchJob, first: int, last: int, agg: _Agg) -> None:
     kernel = _kernel(job.family, job.n)
     spec = job.parsed_filters
     influence_cols = kernel.sizes * kernel.weights
-    # functions per member of a unit's orbit: every high half (general), else 1
-    unit_rows = _space_size(job) // int(kernel.orbits.sizes.sum())
+    unit_rows = _unit_rows(job)
     step = max(1, _BATCH_CELLS // (unit_rows * kernel.sizes.size))
     for start in range(first, last, step):
         stop = min(start + step, last)
@@ -667,6 +660,11 @@ def _unit_count(job: SearchJob) -> int:
 def _space_size(job: SearchJob) -> int:
     """Functions in the job's family at its arity: one id bit per kernel column."""
     return 1 << int(_kernel(job.family, job.n).sizes.size)
+
+
+def _unit_rows(job: SearchJob) -> int:
+    """Functions per member of a work unit's orbit: every high half (general), else 1."""
+    return _space_size(job) // int(_kernel(job.family, job.n).orbits.sizes.sum())
 
 
 def _chunk_ranges(job: SearchJob) -> list[tuple[int, int]]:
@@ -722,8 +720,10 @@ def _load_checkpoint(path: str, job: SearchJob) -> tuple[dict[int, _Agg], int]:
     A torn last record (cut short, or failing its CRC) is dropped, so its
     chunk runs again; a bad record before it, a repeated chunk id, or a
     chunk id, best id, witness id or witness count outside the job's range
-    raises ``CheckpointError``. The key of each record is rebuilt from its
-    best id.
+    raises ``CheckpointError``. So do counts that do not fit the chunk: its
+    scanned count must equal the functions in its units, and count <=
+    scanned, balanced <= count and witnesses <= count. The key of each record
+    is rebuilt from its best id.
     """
     body = _record_struct(job.witness_cap)
     size = body.size + _CKPT_CRC.size
@@ -743,7 +743,8 @@ def _load_checkpoint(path: str, job: SearchJob) -> tuple[dict[int, _Agg], int]:
         if digest != job.digest():
             raise CheckpointError(f"{path}: checkpoint belongs to a different job")
         data = fh.read()
-    chunks, space = len(_chunk_ranges(job)), _space_size(job)
+    ranges, space = _chunk_ranges(job), _space_size(job)
+    orbit_sizes, unit_rows = _kernel(job.family, job.n).orbits.sizes, _unit_rows(job)
     done: dict[int, _Agg] = {}
     for start in range(0, len(data), size):
         blob = data[start : start + size]
@@ -755,12 +756,22 @@ def _load_checkpoint(path: str, job: SearchJob) -> tuple[dict[int, _Agg], int]:
         where = f"{path}: chunk {chunk_idx}"
         if chunk_idx in done:
             raise CheckpointError(f"{where} is recorded twice")
-        if chunk_idx >= chunks:
-            raise CheckpointError(f"{where} is outside the job's {chunks} chunks")
+        if chunk_idx >= len(ranges):
+            raise CheckpointError(f"{where} is outside the job's {len(ranges)} chunks")
+        first, last = ranges[chunk_idx]
+        functions = unit_rows * int(orbit_sizes[first:last].sum())
+        if scanned != functions:
+            raise CheckpointError(f"{where} records {scanned} functions scanned; its units hold {functions}")
+        if count > scanned:
+            raise CheckpointError(f"{where} counts {count} functions, above the {scanned} it scanned")
+        if balanced > count:
+            raise CheckpointError(f"{where} counts {balanced} balanced functions, above its count {count}")
         if not -1 <= best_id < space:
             raise CheckpointError(f"{where} has best id {best_id} outside [-1, {space})")
         if nwit > job.witness_cap:
             raise CheckpointError(f"{where} has {nwit} witnesses, above the cap {job.witness_cap}")
+        if nwit > count:
+            raise CheckpointError(f"{where} has {nwit} witnesses, above its count {count}")
         if any(w >= space for w in wit[:nwit]):
             raise CheckpointError(f"{where} has a witness id outside [0, {space})")
         best = _function_key(job, best_id)[2] if best_id >= 0 else None
@@ -777,20 +788,14 @@ def _finalize(job: SearchJob, chunks: dict[int, _Agg], elapsed: float, resumed: 
     total = _Agg(job)
     for idx in sorted(chunks):
         total.merge(chunks[idx])
-    best_ratio = max_corr_sq = influence_numerator = None
-    if total.best is not None:
-        exact = total.best.rational
-        if job.metric == "ei" or exact is None:  # ei ratios are reported in binary64
-            best_ratio = ExactValue.from_float(total.best.value)
-        else:
-            best_ratio = ExactValue.from_fraction(exact)
-        if job.metric != "ei":
-            max_corr_sq, influence_numerator, _ = _function_key(job, total.best_id)
+    max_corr_sq = influence_numerator = None
+    if total.best is not None and job.metric != "ei":
+        max_corr_sq, influence_numerator, _ = _function_key(job, total.best_id)
     witnesses = tuple(expand_witness(job, w).to_hex() for w in total.witnesses)
     return SearchResult(
         job=job,
         functions_scanned=total.scanned,
-        best_ratio=best_ratio,
+        best_ratio=total.best,
         max_corr_sq=max_corr_sq,
         influence_numerator=influence_numerator,
         witness_total=total.count,
@@ -891,12 +896,12 @@ class ConjectureCheck:
     """Outcome of the symmetric-function ratio checks for one arity."""
 
     n: int
-    and_ei_ratio: float
+    and_ei_ratio: LogLinear
     and_ratio_below_4: bool
-    ei_max: float
+    ei_max: LogLinear
     ei_achievers: int
     ei_achievers_conjugate_to_and: bool
-    mei_max: float
+    mei_max: LogLinear
     mei_claim_holds: bool
     bent_achievers: int
     passed: bool
@@ -935,24 +940,24 @@ def _check_one(n: int) -> ConjectureCheck:
         agg.update(ids, np.ones_like(ids), m_arr, infnum, c2, val, ids.size)
     and_id = and_function(n).value_vector
     and_key = _function_key(top["ei"].job, and_id)[2]
-    and_below_4 = and_key < LogLinear.of(4, {}, 1)
+    and_below_4 = and_key < LogLinear.from_fraction(4)
     # every achiever must share the conjunction's squared spectrum
     strangers = [w for w in top["ei"].witnesses if not np.array_equal(c2[w], c2[and_id])]
     # the min-entropy maximum is exactly 2 at the bent functions (even n), else below 2
     bent = np.flatnonzero((c2 == 1 << n).all(axis=1)).tolist()
     mei = top["mei"]
-    two = LogLinear.of(2, {}, 1)
+    two = LogLinear.from_fraction(2)
     mei_part = mei.best == two and mei.witnesses == bent if bent else mei.best < two
     bad = strangers[:1] if mei_part else sorted(set(mei.witnesses) - set(bent))[:1]
     counterexample = SymmetricFunction(n, bad[0]).expand().to_hex() if bad else None
     return ConjectureCheck(
         n=n,
-        and_ei_ratio=and_key.value,
+        and_ei_ratio=and_key,
         and_ratio_below_4=and_below_4,
-        ei_max=top["ei"].best.value,
+        ei_max=top["ei"].best,
         ei_achievers=top["ei"].count,
         ei_achievers_conjugate_to_and=not strangers,
-        mei_max=mei.best.value,
+        mei_max=mei.best,
         mei_claim_holds=mei_part,
         bent_achievers=len(bent),
         passed=not strangers and and_below_4 and mei_part,

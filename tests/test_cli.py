@@ -3,6 +3,7 @@ import json
 import pytest
 
 from walshlab.cli import main
+from walshlab.metrics import LogLinear
 from walshlab.report import QUINTIC_MAX_ANF, QUINTIC_SEED_ANF
 
 
@@ -134,7 +135,7 @@ def test_search_rotsym(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert abs(float(doc["best_ratio"]) - 3.623740) < 1e-6
+    assert f"{LogLinear.parse(doc['best_ratio']).value:.6f}" == "3.623740"
     assert "chunk" in err  # progress goes to stderr
 
 

@@ -170,7 +170,7 @@ def test_disjoint_walsh_matches_brute_force_pointwise(rng):
 def test_disjoint_min_entropy_parity_is_zero():
     xor2 = table_from_anf("X1 + X2", 2)
     v = disjoint_min_entropy(CompositionSpec(xor2, xor2))
-    assert v.exact and v.rational == 0
+    assert v.rational == 0
 
 
 def test_disjoint_min_entropy_matches_brute_force(rng):
@@ -184,10 +184,7 @@ def test_disjoint_min_entropy_matches_brute_force(rng):
         brute = classify(walsh_transform(disjoint_compose(spec)))
         peak = composition_peak(walsh_transform(f), walsh_transform(g))
         assert peak.best == Fraction(brute.max_corr_sq, 4**spec.arity)
-        assert analytic.value == pytest.approx(brute.min_entropy.value, abs=1e-12)
-        if analytic.exact:
-            assert brute.min_entropy.exact
-            assert analytic.rational == brute.min_entropy.rational
+        assert analytic == brute.min_entropy
 
 
 def test_composition_influence_product(rng):
@@ -208,11 +205,11 @@ def test_composition_entropy_rule(rng):
         f = random_table(rng, k)
         g = random_balanced(rng, l)
         spec = CompositionSpec(f, g)
-        h_fg = entropy(walsh_transform(disjoint_compose(spec))).value
-        h_f = entropy(walsh_transform(f)).value
-        h_g = entropy(walsh_transform(g)).value
-        inf_f = float(influence_spectral(walsh_transform(f)).rational)
-        assert h_fg == pytest.approx(h_f + h_g * inf_f, abs=1e-9)
+        h_fg = entropy(walsh_transform(disjoint_compose(spec)))
+        h_f = entropy(walsh_transform(f))
+        h_g = entropy(walsh_transform(g))
+        inf_f = influence_spectral(walsh_transform(f)).rational
+        assert h_fg == h_f + h_g * inf_f
 
 
 # --- iterated self-composition -----------------------------------------------------
@@ -224,8 +221,8 @@ def test_ot_m0_is_base(rng):
     base = classify(walsh_transform(g))
     assert rep.arity == 4
     assert rep.influence.rational == base.influence.rational
-    assert rep.min_entropy.value == pytest.approx(base.min_entropy.value)
-    assert rep.entropy.value == pytest.approx(base.entropy.value)
+    assert rep.min_entropy == base.min_entropy
+    assert rep.entropy == base.entropy
 
 
 def test_ot_seed_step1():
@@ -265,10 +262,9 @@ def test_ot_materialised_cross_check(rng):
         rep = ot_recursion_metrics(g, 1)
         brute = classify(walsh_transform(disjoint_compose(CompositionSpec(g, g))))
         assert rep.influence.rational == brute.influence.rational
-        assert rep.min_entropy.value == pytest.approx(brute.min_entropy.value, abs=1e-12)
-        if rep.min_entropy.exact:
-            assert rep.min_entropy.rational == brute.min_entropy.rational
-        assert rep.entropy.value == pytest.approx(brute.entropy.value, abs=1e-9)
+        assert rep.min_entropy == brute.min_entropy
+        assert rep.entropy == brute.entropy
+        assert rep.mei_ratio == brute.mei_ratio and rep.ei_ratio == brute.ei_ratio
         checked += 1
     assert checked > 10
 
@@ -374,12 +370,10 @@ def test_gb_small_scale_brute_force(rng):
             brute = classify(walsh_transform(disjoint_compose(CompositionSpec(ext, g))))
             assert rep.arity == 12
             assert rep.influence.rational == brute.influence.rational
-            assert rep.min_entropy.value == pytest.approx(brute.min_entropy.value, abs=1e-12)
-            if rep.min_entropy.exact:
-                assert rep.min_entropy.rational == brute.min_entropy.rational
-            assert rep.entropy.value == pytest.approx(brute.entropy.value, abs=1e-9)
-            if rep.mei_ratio is not None and brute.mei_ratio is not None:
-                assert rep.mei_ratio.value == pytest.approx(brute.mei_ratio.value, abs=1e-12)
+            assert rep.min_entropy == brute.min_entropy
+            assert rep.entropy == brute.entropy
+            assert rep.mei_ratio == brute.mei_ratio and rep.ei_ratio == brute.ei_ratio
+            assert rep.details.get("closed-form-agrees", "true") == "true"
         checked += 1
         if checked >= 12:
             break

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,6 @@ import pytest
 
 from walshlab.core import Spectrum, TruthTable, popcounts, table_from_anf, walsh_transform
 from walshlab.metrics import (
-    ExactValue,
     LogLinear,
     MetricsReport,
     SpectrumError,
@@ -34,23 +34,48 @@ def parity(n: int) -> Spectrum:
     return walsh_transform(table_from_anf(" + ".join(f"X{j}" for j in range(1, n + 1)), n))
 
 
+@functools.cache
+def smallest_prime_factors() -> np.ndarray:
+    """spf[v] = the smallest prime factor of v, for 2 <= v <= 2^20, by a sieve."""
+    spf = np.arange((1 << 20) + 1)
+    for p in range(2, 1 << 10):
+        if spf[p] == p:
+            multiples = spf[p * p :: p]
+            np.minimum(multiples, p, out=multiples)
+    return spf
+
+
+def log2_sum(values: np.ndarray, weights: np.ndarray) -> tuple[int, dict[int, int]]:
+    """(a, {p: e}) with sum of weights[i] * log2 values[i] = a + sum of e * log2 p over
+    odd primes p, factoring every value on its own through the sieve."""
+    spf = smallest_prime_factors()
+    acc = np.zeros(spf.size, dtype=np.int64)
+    v, w = values.astype(np.int64), weights.astype(np.int64)
+    while v.size:
+        p = spf[v]
+        np.add.at(acc, p, w)
+        v //= p
+        keep = v > 1
+        v, w = v[keep], w[keep]
+    return int(acc[2]), {int(p): int(acc[p]) for p in np.flatnonzero(acc[3:]) + 3}
+
+
 def reference_report(s: Spectrum) -> MetricsReport:
     """Every metric from its per-point formula: levels by np.unique, popcounts of
-    every point, and the entropy as math.fsum of the per-point float terms."""
+    every point, and the exact entropy 2n - sum of c^2 * log2 c^2 / 4^n summed point
+    by point, each |c| factored on its own."""
     n, corr = s.n, s.corr
     assert int(np.dot(corr, corr)) == 4**n
     nz = np.abs(corr[corr != 0])
     levels = np.unique(nz)
     support = nz.size
-    if levels.size == 1 and support & (support - 1) == 0:
-        h = ExactValue.from_fraction(support.bit_length() - 1)
-    else:
-        v = nz.astype(np.float64)
-        h = ExactValue.from_float(2 * n - math.fsum(((v * v) * (2.0 * np.log2(v))).tolist()) / float(4**n))
+    a, logs = log2_sum(nz, nz * nz)
+    h = LogLinear.of(2 * n * 4**n - 2 * a, {p: -2 * e for p, e in logs.items()}, 4**n)
     peak = int(np.max(corr * corr))
-    hmin = ExactValue.log2_of(Fraction(4**n, peak))
+    a, logs = log2_sum(np.array([math.isqrt(peak)]), np.array([2]))
+    hmin = LogLinear.of(2 * n - a, {p: -e for p, e in logs.items()}, 1)
     wt = popcounts(s.size)
-    inf = ExactValue.from_fraction(Fraction(int(np.dot(wt, corr * corr)), 4**n))
+    inf = LogLinear.from_fraction(Fraction(int(np.dot(wt, corr * corr)), 4**n))
     plateaued = levels.size == 1
     return MetricsReport(
         n=n,
@@ -85,40 +110,98 @@ def metric_grid(rng, n: int, randoms: int) -> list[TruthTable]:
     return fs
 
 
-# --- ExactValue -------------------------------------------------------------------
+# --- LogLinear arithmetic, strings and parsing ---------------------------------------
 
 
-def test_exact_value_shadow_accuracy():
-    for q in (Fraction(7, 4), Fraction(128, 45), Fraction(-3, 7), Fraction(10**12, 7)):
-        v = ExactValue.from_fraction(q)
-        assert v.exact
-        assert v.value == pytest.approx(float(q), abs=abs(math.ulp(float(q))))
+def test_log_linear_rational_value():
+    for q in (Fraction(7, 4), Fraction(128, 45), Fraction(-3, 7), Fraction(10**12, 7), Fraction(0)):
+        v = LogLinear.from_fraction(q)
+        assert v.rational == q and v == LogLinear.of(q.numerator, {}, q.denominator)
+        assert v.value == float(q)  # int / int rounds correctly
 
 
-def test_exact_value_log2():
-    assert ExactValue.log2_of(Fraction(1, 16)).rational == -4
-    assert ExactValue.log2_of(Fraction(8)).rational == 3
-    v = ExactValue.log2_of(Fraction(1024, 36))
-    assert not v.exact
-    assert v.value == pytest.approx(math.log2(1024 / 36))
-    with pytest.raises(ValueError):
-        ExactValue.log2_of(Fraction(0))
+def test_log_linear_log2():
+    assert LogLinear.log2(Fraction(1, 16)) == LogLinear.from_fraction(-4)
+    assert LogLinear.log2(8) == LogLinear.from_fraction(3)
+    v = LogLinear.log2(Fraction(1024, 36))  # 256/9
+    assert v == LogLinear.of(8, {3: -2}, 1) and v.rational is None
+    assert v.value == float(_mp_value(v))
+    # a square factors through its root: 65521 is prime
+    assert LogLinear.log2(Fraction(65521**2, 4)) == LogLinear.of(-2, {65521: 2}, 1)
+    for bad in (Fraction(0), Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            LogLinear.log2(bad)
 
 
-def test_exact_value_arithmetic():
-    a = ExactValue.from_fraction(Fraction(1, 3))
-    b = ExactValue.from_fraction(Fraction(1, 6))
-    assert (a + b).rational == Fraction(1, 2)
-    assert (a * b).rational == Fraction(1, 18)
-    c = ExactValue.from_float(0.5)
-    assert not (a + c).exact
-    assert (a + c).value == pytest.approx(1 / 3 + 0.5)
+def test_log_linear_arithmetic():
+    a, b = LogLinear.from_fraction(Fraction(1, 3)), LogLinear.from_fraction(Fraction(1, 6))
+    assert a + b == LogLinear.from_fraction(Fraction(1, 2))
+    assert a * Fraction(1, 6) == LogLinear.from_fraction(Fraction(1, 18)) == a * 2 / 12
+    log3 = LogLinear.log2(3)
+    x = (log3 + a) * Fraction(3, 5)  # (3 log2 3 + 1) / 5
+    assert x == LogLinear.of(1, {3: 3}, 5)
+    assert x + LogLinear.of(-1, {3: -3}, 5) == LogLinear.from_fraction(0)
+    assert x / Fraction(-3, 5) == LogLinear.of(-1, {3: -3}, 3)
+    # against the rational coordinates on the basis 1, log2 3, log2 5, log2 7
+    def coords(v: LogLinear) -> list[Fraction]:
+        logs = dict(v.logs)
+        return [Fraction(v.const, v.den)] + [Fraction(logs.get(p, 0), v.den) for p in (3, 5, 7)]
+
+    rng = random.Random(9)
+    for _ in range(200):
+        u = LogLinear.of(rng.randint(-99, 99), {3: rng.randint(-9, 9), 5: rng.randint(-9, 9)}, rng.randint(1, 99))
+        w = LogLinear.of(rng.randint(-99, 99), {5: rng.randint(-9, 9), 7: rng.randint(-9, 9)}, rng.randint(1, 99))
+        q = Fraction(rng.randint(-50, 50), rng.randint(1, 50)) or Fraction(1)
+        assert coords(u + w) == [x + y for x, y in zip(coords(u), coords(w))]
+        assert coords(u * q) == [x * q for x in coords(u)]
+        assert coords(u / q) == [x / q for x in coords(u)]
+    with pytest.raises(ZeroDivisionError):
+        log3 / 0
 
 
 def test_as_str():
-    assert ExactValue.from_fraction(Fraction(16, 7)).as_str() == "16/7"
-    assert ExactValue.from_fraction(Fraction(4)).as_str() == "4"
-    assert ExactValue.from_float(2.5).as_str() == "2.5"
+    assert LogLinear.from_fraction(Fraction(16, 7)).as_str() == "16/7"
+    assert LogLinear.from_fraction(Fraction(4)).as_str() == "4"
+    assert LogLinear.from_fraction(Fraction(-3, 2)).as_str() == "-3/2"
+    assert LogLinear.of(8, {3: -60, 5: 4}, 7).as_str() == "(8 - 60*log2(3) + 4*log2(5))/7"
+    assert LogLinear.of(-1, {7: 1}, 1).as_str() == "(-1 + 1*log2(7))/1"
+
+
+def test_parse_round_trips():
+    rng = random.Random(10)
+    primes = (3, 5, 7, 31, 257, 65521, 2**32 - 5)
+    for _ in range(500):
+        logs = {p: rng.randint(-(10**15), 10**15) for p in rng.sample(primes, rng.randint(0, 3))}
+        v = LogLinear.of(rng.randint(-(10**15), 10**15), logs, rng.choice([-1, 1]) * rng.randint(1, 10**9))
+        assert LogLinear.parse(v.as_str()) == v
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(1 + 1*log2(9))/2",  # 9 is not prime
+        "(1 + 1*log2(2))/2",  # 2 is not odd
+        "(1 + 1*log2(1))/2",
+        "(1 + 1*log2(4294967311))/2",  # the smallest prime above 2^32
+        "(1 + 1*log2(3))/0",
+        "1/0",
+        "16/7 ",
+        "16/7x",
+        "(1 + 1*log2(3))/2 + 1",
+        "4/2",  # not in lowest terms
+        "(2 + 2*log2(3))/2",
+        "(1 + 0*log2(3))/2",
+        "(1 + 1*log2(5) + 1*log2(3))/2",  # primes out of order
+        "(1 + 1*log2(3) + 1*log2(3))/2",
+        "(4)/1",
+        "+3",
+        "2.5",
+        "",
+    ],
+)
+def test_parse_rejects(text):
+    with pytest.raises(ValueError):
+        LogLinear.parse(text)
 
 
 # --- entropy ----------------------------------------------------------------------
@@ -126,35 +209,49 @@ def test_as_str():
 
 def test_entropy_parity_is_zero():
     for n in (1, 3, 6):
-        v = entropy(parity(n))
-        assert v.exact and v.rational == 0
+        assert entropy(parity(n)).rational == 0
 
 
 def test_entropy_bent_two_vars():
-    v = entropy(spectrum_of("X1X2", 2))
-    assert v.exact and v.rational == 2
+    assert entropy(spectrum_of("X1X2", 2)).rational == 2
 
 
 def test_entropy_and5_ratio_below_4():
     s = spectrum_of("X1X2X3X4X5", 5)
     h = entropy(s)
     inf = influence_spectral(s)
-    assert not h.exact
-    assert h.value < 4 * float(inf.rational)
+    assert h.rational is None
+    assert h < inf * 4
 
 
-def test_entropy_exactness_is_conservative(rng):
-    # exact only in the plateaued power-of-two-support case
+def test_entropy_is_rational_exactly_on_dyadic_levels(rng):
+    # log2 c^2 is an integer exactly when |c| is a power of two
     for n in range(1, 8):
         for _ in range(30):
             s = walsh_transform(random_table(rng, n))
+            nz = np.abs(s.corr[s.corr != 0]).tolist()
             v = entropy(s)
-            if v.exact:
-                nz = np.abs(s.corr[s.corr != 0])
-                support = int(nz.size)
-                assert np.unique(nz).size == 1
-                assert support & (support - 1) == 0
-                assert v.rational == support.bit_length() - 1
+            dyadic = all(c & (c - 1) == 0 for c in nz)
+            assert (v.rational is not None) == dyadic
+            if dyadic:
+                assert v.rational == 2 * n - sum(Fraction(c * c * 2 * (c.bit_length() - 1), 4**n) for c in nz)
+
+
+def test_entropy_value_is_correctly_rounded(rng):
+    # 200 entropies against a 256-bit evaluation rounded to nearest
+    checked = 0
+    while checked < 200:
+        n = rng.randint(2, 12)
+        s = walsh_transform(random_table(rng, n))
+        h = entropy(s)
+        if h.rational is not None:
+            continue
+        levels, counts = np.unique(np.abs(s.corr[s.corr != 0]), return_counts=True)
+        with mpmath.workprec(256):
+            terms = (k * c * c * mpmath.log(c * c, 2) for c, k in zip(levels.tolist(), counts.tolist()))
+            want = 2 * n - mpmath.fsum(terms) / 4**n
+        assert h.value == float(want), (n, s.corr.tolist())
+        checked += 1
 
 
 def test_entropy_rejects_corrupt_spectrum():
@@ -204,13 +301,13 @@ def test_min_entropy_examples():
     assert min_entropy(spectrum_of("X1", 1)).rational == 0
 
 
-def test_min_entropy_non_dyadic_is_float():
+def test_min_entropy_non_dyadic_is_irrational():
     # weight-1 function on 3 vars peaks at corr 6, and 36 is not a power of two
     s = walsh_transform(TruthTable(3, 0b00000001))
     assert s.max_corr_sq == 36
     v = min_entropy(s)
-    assert not v.exact
-    assert v.value == pytest.approx(math.log2(64 / 36))
+    assert v == LogLinear.of(4, {3: -2}, 1)  # log2(64/36) = 4 - 2 log2 3
+    assert v.rational is None and v.value == float(_mp_value(v))
 
 
 # --- influence --------------------------------------------------------------------
@@ -290,9 +387,9 @@ def test_metric_bounds_and_order(rng):
     for n in range(1, 9):
         for _ in range(40):
             rep = classify(walsh_transform(random_table(rng, n)))
-            assert 0 <= rep.min_entropy.value <= rep.entropy.value + 1e-12
-            assert rep.entropy.value <= n + 1e-12
-            assert 0 <= float(rep.influence.rational) <= n
+            zero, top = LogLinear.from_fraction(0), LogLinear.from_fraction(n)
+            assert zero <= rep.min_entropy <= rep.entropy <= top
+            assert zero <= rep.influence <= top
             assert 0 <= rep.weight <= 1 << n
 
 
@@ -306,11 +403,11 @@ def test_resilient_influence_lower_bound(rng):
 
 
 def test_ratio_helper():
-    assert ratio(ExactValue.from_fraction(1), ExactValue.from_fraction(0)) is None
-    v = ratio(ExactValue.from_fraction(3), ExactValue.from_fraction(Fraction(3, 2)))
+    assert ratio(LogLinear.from_fraction(1), LogLinear.from_fraction(0)) is None
+    v = ratio(LogLinear.from_fraction(3), LogLinear.from_fraction(Fraction(3, 2)))
     assert v.rational == 2
-    w = ratio(ExactValue.from_float(1.0), ExactValue.from_fraction(2))
-    assert not w.exact and w.value == 0.5
+    w = ratio(LogLinear.log2(3), LogLinear.from_fraction(2))
+    assert w == LogLinear.of(0, {3: 1}, 2)
 
 
 def _mp_value(k: LogLinear):

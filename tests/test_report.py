@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from walshlab.core import Spectrum, table_from_anf, walsh_transform
-from walshlab.construct import gb_construction_report
-from walshlab.metrics import ExactValue, classify
+from walshlab.construct import gb_construction_report, ot_recursion_metrics
+from walshlab.metrics import LogLinear, classify
 from walshlab.report import (
     QUINTIC_MAX_ANF,
     QUINTIC_SEED_ANF,
     LedgerEntry,
     VerificationLedger,
+    analytic_from_json,
     analytic_to_dict,
+    analytic_to_json,
     metrics_from_json,
     metrics_to_csv,
     metrics_to_json,
@@ -25,18 +27,19 @@ from walshlab.report import (
 )
 from walshlab.search import SearchJob, sweep
 
-from conftest import random_table
+from conftest import random_balanced, random_table
 
 
 def test_value_round_trip():
     for v in (
-        ExactValue.from_fraction(Fraction(16, 7)),
-        ExactValue.from_fraction(Fraction(-3)),
-        ExactValue.from_float(2.2755555555555556),
+        LogLinear.from_fraction(Fraction(16, 7)),
+        LogLinear.from_fraction(Fraction(-3)),
+        LogLinear.of(1024, {3: -150, 5: -50}, 225),
         None,
     ):
         doc = json.loads(json.dumps(value_to_json(v)))
         assert value_from_json(doc) == v
+    assert value_to_json(LogLinear.of(1024, {3: -150, 5: -50}, 225)) == "(1024 - 150*log2(3) - 50*log2(5))/225"
 
 
 def test_metrics_json_contains_exact_ratio():
@@ -52,10 +55,64 @@ def test_metrics_json_parity_min_entropy():
 
 
 def test_metrics_round_trip_random(rng):
-    for n in range(1, 7):
-        for _ in range(170):
+    irrational = 0
+    for n in range(1, 13):
+        for _ in range(170 if n <= 6 else 20):
             rep = classify(walsh_transform(random_table(rng, n)))
             assert metrics_from_json(metrics_to_json(rep)) == rep
+            irrational += rep.entropy.rational is None
+    assert irrational > 500
+
+
+def test_analytic_round_trip(rng):
+    irrational = 0
+    for n in range(2, 7):
+        for _ in range(6):
+            g = random_balanced(rng, n)
+            reports = [ot_recursion_metrics(g, m) for m in range(4)]
+            reports += [gb_construction_report(g, b) for b in (0, 1)]
+            for rep in reports:
+                assert analytic_from_json(analytic_to_json(rep)) == rep
+                irrational += rep.entropy.rational is None
+    assert irrational > 50
+
+
+def _irrational_metrics_doc() -> dict:
+    # the entropy of this function is irrational
+    doc = json.loads(metrics_to_json(classify(walsh_transform(table_from_anf("X1X2X3 + X4", 4)))))
+    assert doc["entropy"].startswith("(")
+    return doc
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("entropy", "(1 + 1*log2(9))/2"),  # a p that is not an odd prime
+        ("entropy", "(1 + 1*log2(3))/0"),  # D = 0
+        ("influence", "7/0"),
+        ("entropy", "(1 + 1*log2(3))/2 trailing"),
+        ("mei_ratio", "16/7x"),
+        ("entropy", 3.2),  # a JSON number
+        ("influence", 2),
+        ("schema_version", 1),
+        ("schema_version", "2"),
+        ("schema_version", 2.0),
+        ("schema_version", None),
+    ],
+)
+def test_metrics_from_json_rejects(field, value):
+    doc = _irrational_metrics_doc()
+    assert metrics_from_json(json.dumps(doc)) is not None
+    doc[field] = value
+    with pytest.raises(ValueError):
+        metrics_from_json(json.dumps(doc))
+
+
+def test_analytic_from_json_rejects_other_schema():
+    doc = analytic_to_dict(gb_construction_report(table_from_anf(QUINTIC_SEED_ANF, 5), 0))
+    doc["schema_version"] = 1
+    with pytest.raises(ValueError, match="schema_version 2"):
+        analytic_from_json(json.dumps(doc))
 
 
 def test_metrics_csv_layout():
@@ -101,7 +158,9 @@ def test_analytic_dict_provenance():
 def test_search_result_serialisation():
     r = sweep(SearchJob("general", 2, metric="mei"), threads=1)
     doc = search_result_to_dict(r)
-    assert doc["best_ratio"] == "2"
+    assert doc["best_ratio"] == "2" and doc["schema_version"] == 2
+    ei = sweep(SearchJob("general", 3, metric="ei"), threads=1)
+    assert value_from_json(search_result_to_dict(ei)["best_ratio"]) == ei.best_ratio
     assert doc["job"]["family"] == "general"
     json.dumps(doc)
     canon = search_result_canonical(r)
@@ -121,7 +180,10 @@ FAST_SUBSET = [
     "c07-seed-odd-weight-mass",
     "c08-thirty-var-ratio",
     "c09-thirty-var-min-entropy",
+    "c11-composition-min-entropy",
+    "c13-composition-entropy-rule",
     "c17-parseval",
+    "c23-general-n3-vs-naive",
 ]
 
 
@@ -173,7 +235,7 @@ def test_suite_records_failures_as_entries():
 def test_ledger_json_shape():
     ledger = run_verification_suite(scope="fast", claim_ids=["c17-parseval"])
     doc = json.loads(ledger.to_json())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     entry = doc["entries"][0]
     assert set(entry) == {
         "claim_id", "tag", "description", "expected", "computed", "status", "runtime",

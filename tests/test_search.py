@@ -1,4 +1,5 @@
 import math
+import random
 import struct
 import zlib
 from fractions import Fraction
@@ -6,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from walshlab.construct import ot_recursion_metrics
 from walshlab.core import TruthTable, fwht_inplace, popcounts, walsh_transform
-from walshlab.metrics import classify
+from walshlab.metrics import LogLinear, classify
 from walshlab.report import run_verification_suite, search_result_canonical
 from walshlab.search import (
     _CKPT_HEADER,
@@ -17,6 +19,7 @@ from walshlab.search import (
     SearchJob,
     SweepBoundError,
     SymmetricFunction,
+    _function_key,
     _kernel,
     _ratio_key,
     and_function,
@@ -41,9 +44,9 @@ def naive_best(n: int, metric: str, filters=()):
         r = rep.mei_ratio if metric == "mei" else rep.ei_ratio
         if r is None:
             continue
-        if best is None or r.value > best + 1e-12:
-            best, count, witnesses = r.value, 1, [v]
-        elif abs(r.value - best) <= 1e-12:
+        if best is None or r > best:
+            best, count, witnesses = r, 1, [v]
+        elif r == best:
             count += 1
             witnesses.append(v)
     return best, count, witnesses
@@ -132,6 +135,32 @@ def test_orbit_spectra_match_fwht(family, ns):
         for row, vid in zip(corr, ids.tolist()):
             dense = walsh_transform(expand_witness(SearchJob(family, n), vid)).corr
             assert np.array_equal(row[orbit], dense), (family, n, vid)
+
+
+@pytest.mark.parametrize(
+    "family,ns", [("symmetric", range(1, 5)), ("rotsym", range(1, 5)), ("general", range(1, 6))]
+)
+def test_function_keys_match_reports(family, ns):
+    # a sweep's exact key of a function is the value the reports give it
+    rng = random.Random(11)
+    ot1_checked = 0
+    for n in ns:
+        count = 1 << _kernel(family, n).sizes.size
+        ids = range(count) if count <= 256 else rng.sample(range(count), 200)
+        mei, ei = SearchJob(family, n, "mei"), SearchJob(family, n, "ei")
+        ot1 = SearchJob(family, n, "ot1-mei", ("balanced", "weight1-max-walsh"))
+        for fid in ids:
+            g = expand_witness(mei, fid)
+            s = walsh_transform(g)
+            rep = classify(s)
+            if rep.mei_ratio is None:  # a constant function has no ratio and no key
+                continue
+            assert _function_key(mei, fid)[2] == rep.mei_ratio, (n, fid)
+            assert _function_key(ei, fid)[2] == rep.ei_ratio, (n, fid)
+            if rep.balanced and max(int(s.corr[1 << i]) ** 2 for i in range(n)) == rep.max_corr_sq:
+                assert _function_key(ot1, fid)[2] == ot_recursion_metrics(g, 1).mei_ratio, (n, fid)
+                ot1_checked += 1
+    assert ot1_checked >= 4
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -295,7 +324,7 @@ def test_general_sweep_matches_naive(n, metric):
     best, count, wits = naive_best(n, metric)
     r = sweep(SearchJob("general", n, metric=metric, chunk_bits=2, witness_cap=64), threads=1)
     assert r.functions_scanned == 1 << (1 << n)
-    assert r.best_ratio.value == pytest.approx(best, abs=1e-12)
+    assert r.best_ratio == best
     assert r.witness_total == count
     expected_hex = [TruthTable(n, v).to_hex() for v in wits[:64]]
     assert list(r.witnesses) == expected_hex
@@ -304,7 +333,7 @@ def test_general_sweep_matches_naive(n, metric):
 def test_balanced_filter_matches_naive():
     best, count, _ = naive_best(3, "mei", filters=("balanced",))
     r = sweep(SearchJob("general", 3, metric="mei", filters=("balanced",)), threads=1)
-    assert r.best_ratio.value == pytest.approx(best, abs=1e-12)
+    assert r.best_ratio == best
     assert r.witness_total == count
     assert r.balanced_at_best == count
     for hx in r.witnesses:
@@ -316,7 +345,7 @@ def test_plateaued_filter_matches_naive():
     r = sweep(
         SearchJob("general", 3, metric="mei", filters=("balanced", "plateaued")), threads=1
     )
-    assert r.best_ratio.value == pytest.approx(best, abs=1e-12)
+    assert r.best_ratio == best
     assert r.witness_total == count
     for hx in r.witnesses:
         assert classify(walsh_transform(TruthTable.from_hex(hx, 3))).plateaued
@@ -477,7 +506,7 @@ def test_function_orbit_sweep_matches_dense_scan(family, n_max, metric, filters)
         job = SearchJob(family, n, metric, filters, chunk_bits=3, witness_cap=4096)
         r = sweep(job, threads=1)
         assert r.functions_scanned == 1 << _kernel(family, n).sizes.size
-        assert r.best_ratio.value == best.value, n
+        assert r.best_ratio == best, n
         assert r.witness_total == len(achievers) and r.balanced_at_best == balanced, n
         assert list(r.witnesses) == [expand_witness(job, v).to_hex() for v in achievers], n
 
@@ -664,6 +693,57 @@ def test_checkpoint_record_out_of_range(tmp_path, offset, fmt, value, match):
         sweep(job, threads=1)
 
 
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({8: 10**12}, "records 1000000000000 functions scanned; its units hold"),
+        ({24: 1 << 40}, "counts 1099511627776 functions, above the [0-9]+ it scanned"),
+        ({32: 1 << 40}, "counts 1099511627776 balanced functions, above its count"),
+        ({24: 0, 32: 0}, "witnesses, above its count 0"),
+    ],
+    ids=["scanned", "count", "balanced", "witnesses"],
+)
+def test_checkpoint_record_counts_must_fit_chunk(tmp_path, fields, match):
+    # a record with a valid CRC that claimed 10^12 functions scanned used to
+    # resume to that many: a chunk's scanned count is known exactly, and its
+    # count, balanced count and witnesses are bounded by it
+    job, path, _, rec_size = _checkpointed(tmp_path)
+    data = bytearray(path.read_bytes())
+    record = memoryview(data)[-rec_size:]
+    assert struct.unpack_from("<Q", record, 40)[0] >= 1  # the last chunk has a witness
+    for offset, value in fields.items():
+        struct.pack_into("<Q", record, offset, value)
+    struct.pack_into("<I", record, rec_size - 4, zlib.crc32(record[:-4]))
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match=match):
+        sweep(job, threads=1)
+
+
+# A finished general n=3 ei checkpoint (chunk_bits 2, witness cap 2) from the
+# format 5 writer as it was before reports carried exact values.
+FORMAT5_EI_N3 = bytes.fromhex(
+    "574c5357454550310500000002000000440000000000000001946c899c717ac7df099bffe06b754600000000"
+    "0000000020000000000000001000000000000000080000000000000000000000000000000200000000000000"
+    "100000000000000020000000000000002ec528a0010000000000000080000000000000000100000000000000"
+    "08000000000000000000000000000000020000000000000001000000000000000200000000000000eba00d99"
+    "0200000000000000400000000000000003000000000000000800000000000000000000000000000002000000"
+    "00000000030000000000000005000000000000009b10a43c0300000000000000200000000000000006000000"
+    "0000000004000000000000000000000000000000020000000000000006000000000000000900000000000000"
+    "7df223f3"
+)
+
+
+def test_checkpoint_format5_file_resumes(tmp_path):
+    path = tmp_path / "ei.ck"
+    path.write_bytes(FORMAT5_EI_N3)
+    job = SearchJob("general", 3, "ei", chunk_bits=2, witness_cap=2, checkpoint_path=str(path))
+    resumed = sweep(job, threads=1)
+    assert resumed.resumed_chunks == 4 and path.read_bytes() == FORMAT5_EI_N3
+    fresh = sweep(SearchJob("general", 3, "ei", chunk_bits=2, witness_cap=2), threads=1)
+    assert search_result_canonical(resumed) == search_result_canonical(fresh)
+    assert resumed.best_ratio.rational is None and resumed.witness_total == 16
+
+
 def test_checkpoint_corruption(tmp_path):
     path = str(tmp_path / "sweep.ck")
     job = SearchJob("general", 3, metric="mei", checkpoint_path=path)
@@ -707,20 +787,20 @@ def test_checkpoint_dir_env(tmp_path, monkeypatch):
 
 def test_symmetric_sweep_small_vs_naive():
     for n in (2, 3, 4):
-        best = -1.0
+        best = None
         for vid in range(1 << (n + 1)):
             rep = classify(walsh_transform(SymmetricFunction(n, vid).expand()))
-            if rep.ei_ratio is not None:
-                best = max(best, rep.ei_ratio.value)
+            if rep.ei_ratio is not None and (best is None or rep.ei_ratio > best):
+                best = rep.ei_ratio
         r = sweep_symmetric(n, "ei", threads=1)
-        assert r.best_ratio.value == pytest.approx(best, abs=1e-12)
+        assert r.best_ratio == best
         assert r.functions_scanned == 1 << (n + 1)
 
 
 def test_symmetric_even_mei_max_is_two_with_bent_witnesses():
     for n in (2, 4, 8):
         r = sweep_symmetric(n, "mei", threads=1)
-        assert r.best_ratio.exact and r.best_ratio.rational == 2
+        assert r.best_ratio == LogLinear.from_fraction(2)
         assert r.witness_total == 4
         for hx in r.witnesses:
             rep = classify(walsh_transform(TruthTable.from_hex(hx, n)))
@@ -734,21 +814,22 @@ def test_class_consistency_small_n():
             general = sweep(SearchJob("general", n, metric=metric), threads=1)
             sym = sweep_symmetric(n, metric, threads=1)
             rot = sweep_rotsym(n, metric, threads=1)
-            assert sym.best_ratio.value <= general.best_ratio.value + 1e-12
-            assert rot.best_ratio.value <= general.best_ratio.value + 1e-12
+            assert sym.best_ratio <= general.best_ratio
+            assert rot.best_ratio <= general.best_ratio
 
 
 def test_rotsym_n1_matches_general():
     g = sweep(SearchJob("general", 1, metric="mei"), threads=1)
     r = sweep_rotsym(1, "mei", threads=1)
-    assert g.best_ratio.value == r.best_ratio.value
+    assert g.best_ratio == r.best_ratio
     assert g.witness_total == r.witness_total
 
 
 def test_rotsym_n5_maxima():
     # frozen from an independent single-file scan of all 2^8 orbit assignments
-    assert sweep_rotsym(5, "ei", threads=1).best_ratio.value == pytest.approx(3.623740, abs=1e-6)
-    assert sweep_rotsym(5, "mei", threads=1).best_ratio.value == pytest.approx(2.147932, abs=1e-6)
+    # best_ratio.value is the exact maximum, correctly rounded
+    assert f"{sweep_rotsym(5, 'ei', threads=1).best_ratio.value:.6f}" == "3.623740"
+    assert f"{sweep_rotsym(5, 'mei', threads=1).best_ratio.value:.6f}" == "2.147932"
 
 
 # --- conjecture checks -------------------------------------------------------------------
@@ -763,10 +844,10 @@ def test_check_conjecture_small():
         assert c.and_ratio_below_4
         assert c.ei_achievers == (2 if c.n == 1 else 4)
         if c.n % 2 == 0:
-            assert c.mei_max == pytest.approx(2.0, abs=1e-9)
+            assert c.mei_max == LogLinear.from_fraction(2)
             assert c.bent_achievers > 0
         else:
-            assert c.mei_max < 2
+            assert c.mei_max < LogLinear.from_fraction(2)
 
 
 def test_check_conjecture_bounds():

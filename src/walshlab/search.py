@@ -366,7 +366,7 @@ class _Agg:
         c2: np.ndarray,
         val: np.ndarray,
         scanned: int,
-        orbit_ids: Callable[[np.ndarray], np.ndarray] | None = None,
+        orbit_ids: Callable[[np.ndarray], np.ndarray],
     ) -> None:
         """Fold in one batch of rows.
 
@@ -389,8 +389,7 @@ class _Agg:
         self.count += int(sizes[rows].sum())
         self.balanced += int(sizes[rows] @ (c2[rows, 0] == 0))
         if self.job.witness_cap:
-            hit = ids[rows]
-            self._add_witnesses(hit if orbit_ids is None else orbit_ids(hit))
+            self._add_witnesses(orbit_ids(ids[rows]))
 
     def _keys(self, rows, m_arr, inf_arr, c2) -> tuple[list[LogLinear], np.ndarray]:
         """The distinct exact keys of ``rows`` and, per row, the index of its key."""
@@ -927,17 +926,13 @@ def check_conjecture(ns: Iterable[int]) -> list[ConjectureCheck]:
 
 
 def _check_one(n: int) -> ConjectureCheck:
-    kernel = _kernel("symmetric", n)
     ids = np.arange(1 << (n + 1), dtype=np.int64)
-    c2 = kernel.spectra(ids) ** 2
-    infnum = c2 @ (kernel.sizes * kernel.weights)
-    m_arr = c2.max(axis=1)
+    c2 = _kernel("symmetric", n).spectra(ids) ** 2
     top = {}
     for metric in ("ei", "mei"):
         job = SearchJob("symmetric", n, metric, witness_cap=ids.size)
         top[metric] = agg = _Agg(job)
-        val = _metric_values(metric, c2, m_arr, infnum, n, kernel.sizes)
-        agg.update(ids, np.ones_like(ids), m_arr, infnum, c2, val, ids.size)
+        _eval_chunk(job, 0, _unit_count(job), agg)
     and_id = and_function(n).value_vector
     and_key = _function_key(top["ei"].job, and_id)[2]
     and_below_4 = and_key < LogLinear.from_fraction(4)

@@ -77,6 +77,16 @@ def test_analytic_round_trip(rng):
     assert irrational > 50
 
 
+_ABSENT = object()  # a field deleted from the document
+
+
+def _set(doc: dict, field: str, value) -> None:
+    if value is _ABSENT:
+        del doc[field]
+    else:
+        doc[field] = value
+
+
 def _irrational_metrics_doc() -> dict:
     # the entropy of this function is irrational
     doc = json.loads(metrics_to_json(classify(walsh_transform(table_from_anf("X1X2X3 + X4", 4)))))
@@ -98,12 +108,25 @@ def _irrational_metrics_doc() -> dict:
         ("schema_version", "2"),
         ("schema_version", 2.0),
         ("schema_version", None),
+        ("n", _ABSENT),
+        ("mei_ratio", _ABSENT),
+        ("extra", 1),
+        ("n", "x"),
+        ("n", True),
+        ("weight", 8.0),
+        ("resilience_order", None),
+        ("max_corr_sq", "16"),
+        ("balanced", 1),
+        ("plateaued", None),
+        ("bent", "false"),
+        ("plateau_level", 1.5),
+        ("plateau_level", False),
     ],
 )
 def test_metrics_from_json_rejects(field, value):
     doc = _irrational_metrics_doc()
     assert metrics_from_json(json.dumps(doc)) is not None
-    doc[field] = value
+    _set(doc, field, value)
     with pytest.raises(ValueError):
         metrics_from_json(json.dumps(doc))
 
@@ -112,6 +135,29 @@ def test_analytic_from_json_rejects_other_schema():
     doc = analytic_to_dict(gb_construction_report(table_from_anf(QUINTIC_SEED_ANF, 5), 0))
     doc["schema_version"] = 1
     with pytest.raises(ValueError, match="schema_version 2"):
+        analytic_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("influence", _ABSENT),
+        ("details", _ABSENT),
+        ("extra", "x"),
+        ("arity", "30"),
+        ("arity", False),
+        ("arity", 30.0),
+        ("provenance", ["min_entropy"]),
+        ("provenance", {"min_entropy": 1}),
+        ("details", None),
+        ("details", {"epsilon_b": None}),
+    ],
+)
+def test_analytic_from_json_rejects(field, value):
+    doc = analytic_to_dict(gb_construction_report(table_from_anf(QUINTIC_SEED_ANF, 5), 0))
+    assert analytic_from_json(json.dumps(doc)) is not None
+    _set(doc, field, value)
+    with pytest.raises(ValueError):
         analytic_from_json(json.dumps(doc))
 
 
@@ -230,6 +276,26 @@ def test_suite_records_failures_as_entries():
     assert not failing.passed
     doc = failing.to_dict()
     assert doc["entries"][0]["status"] == "fail"
+
+
+def test_claim_inputs_do_not_depend_on_other_claims(monkeypatch):
+    import walshlab.construct as construct_mod
+
+    seen = []
+    original = construct_mod.disjoint_min_entropy
+
+    def spy(spec):
+        seen.append((spec.outer, spec.inner))
+        return original(spec)
+
+    monkeypatch.setattr(construct_mod, "disjoint_min_entropy", spy)
+    assert run_verification_suite(claim_ids=["c11-composition-min-entropy"]).passed
+    alone = list(seen)
+    seen.clear()
+    assert run_verification_suite(
+        claim_ids=["c10-composition-spectrum-pointwise", "c11-composition-min-entropy"]
+    ).passed
+    assert len(alone) == 100 and seen == alone
 
 
 def test_ledger_json_shape():

@@ -549,7 +549,7 @@ def test_rotsym_published_maxima_achievers(threads, chunk_bits):
 # --- determinism ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("chunk_bits", [0, 2, 5])
+@pytest.mark.parametrize("chunk_bits", [0, 2, 3, 5, 6])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_determinism(chunk_bits, threads, monkeypatch):
     import walshlab.search as search_mod

@@ -7,7 +7,7 @@ ratio amplifier, and the palindromic single-variable extension together
 with the large composed functions it seeds.
 
 The analytic paths never materialise large tables: a 30-variable composed
-function is described exactly by the dense spectra of its small factors.
+function is described exactly by its 5-variable seed's spectrum alone.
 Every reported value is an exact ``LogLinear``: influence multiplies,
 entropy composes as H(f) + Inf(f) * H(g), and min-entropy is log2 of the
 exact composition peak, so each rule is an identity, not an approximation.
@@ -19,16 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    DenseCapExceeded,
-    Spectrum,
-    TruthTable,
-    dense_cap,
-    popcounts,
-    reverse,
-    walsh_transform,
-)
-from .metrics import LogLinear, MetricsReport, classify, entropy, ratio
+from .core import Spectrum, TruthTable, check_dense, popcounts, reverse, walsh_transform
+from .metrics import LogLinear, MetricsReport, classify
 
 _CHUNK = 1 << 20
 
@@ -86,8 +78,7 @@ def compose_vectorial(f: TruthTable, g: VectorialFunction) -> TruthTable:
     if f.n != g.k:
         raise ValueError(f"outer arity {f.n} != component count {g.k}")
     n = g.n
-    if n > dense_cap():
-        raise DenseCapExceeded(n, dense_cap())
+    check_dense(n)
     size = 1 << n
     comp = [c.bit_array() for c in g.components]
     f_arr = f.bit_array()
@@ -162,8 +153,7 @@ def disjoint_spectrum(spec: CompositionSpec) -> Spectrum:
     _require_balanced_inner(spec, gs)
     k, l = spec.outer.n, spec.inner.n
     n = k * l
-    if n > dense_cap():
-        raise DenseCapExceeded(n, dense_cap())
+    check_dense(n)
     out = np.empty(1 << n, dtype=np.int64)
     half = gs.corr[1:, None] >> 1
     cur = fs.corr  # axis k-1-i of a cube is block i, as in the point index
@@ -186,34 +176,28 @@ class CompositionPeak:
     witness: int  # outer spectral point attaining the per-class maximum
 
 
-def composition_peak(outer_spectrum: Spectrum, inner_spectrum: Spectrum) -> CompositionPeak:
-    """Maximise a_i * (max W_inner^2)^i over weight classes i of the outer spectrum.
+def composition_peak(outer_spectrum: Spectrum, inner_peak: Fraction) -> CompositionPeak:
+    """The largest squared normalised Walsh value of f o h, for a balanced inner h.
 
-    a_i is the largest squared normalised outer Walsh value on weight-i
-    points. Ties break to the smallest weight class and then the smallest
-    point index.
+    A point of f o h whose nonzero blocks have pattern w has W_f(w)^2 times
+    one factor W_h(b)^2 <= ``inner_peak`` per nonzero block b, and every
+    block reaches ``inner_peak`` (h is balanced, so W_h(0) = 0). So the peak
+    is a_i * inner_peak^i maximised over the weight classes i, with a_i the
+    largest squared normalised outer value on weight-i points. Ties break to
+    the smallest weight class and then the smallest point index.
     """
-    k, l = outer_spectrum.n, inner_spectrum.n
-    mg = inner_spectrum.max_corr_sq
+    k = outer_spectrum.n
     wt = popcounts(outer_spectrum.size)
-    c2 = outer_spectrum.corr * outer_spectrum.corr
-    best: Fraction | None = None
-    best_i = best_w = 0
-    for i in range(k + 1):
-        idx = np.nonzero(wt == i)[0]
-        if idx.size == 0:
-            continue
-        vals = c2[idx]
-        m_i = int(vals.max())
-        if m_i == 0:
-            continue
-        cand = Fraction(m_i * mg**i, 4 ** (k + l * i))
-        if best is None or cand > best:
-            best = cand
-            best_i = i
-            best_w = int(idx[np.nonzero(vals == m_i)[0][0]])
-    assert best is not None  # Parseval guarantees a nonzero class
-    return CompositionPeak(best, best_i, best_w)
+    c2 = outer_spectrum.corr**2
+    maxima = np.zeros(k + 1, dtype=np.int64)
+    np.maximum.at(maxima, wt, c2)
+    num, den = inner_peak.numerator, inner_peak.denominator
+    # a_i * inner_peak^i over the common denominator 4^k * den^k
+    keys = [m * num**i * den ** (k - i) for i, m in enumerate(maxima.tolist())]
+    i = keys.index(max(keys))
+    m_i = int(maxima[i])
+    witness = int(np.argmax((wt == i) & (c2 == m_i)))
+    return CompositionPeak(Fraction(m_i * num**i, 4**k * den**i), i, witness)
 
 
 def disjoint_min_entropy(spec: CompositionSpec) -> LogLinear:
@@ -221,7 +205,7 @@ def disjoint_min_entropy(spec: CompositionSpec) -> LogLinear:
     fs = walsh_transform(spec.outer)
     gs = walsh_transform(spec.inner)
     _require_balanced_inner(spec, gs)
-    peak = composition_peak(fs, gs)
+    peak = composition_peak(fs, Fraction(gs.max_corr_sq, 4**spec.inner.n))
     return LogLinear.log2(1 / peak.best)
 
 
@@ -237,14 +221,18 @@ RESILIENT_PLATEAUED_FORM = "resilient-plateaued-closed-form"
 
 @dataclass(frozen=True)
 class AnalyticReport:
-    """Metrics of a composed function, each field tagged with its producing rule."""
+    """Metrics of a composed function, each field tagged with its producing rule.
+
+    Every report composes a balanced seed, so the influence is at least 1 and
+    both ratios exist.
+    """
 
     arity: int
     influence: LogLinear
-    entropy: LogLinear | None
-    min_entropy: LogLinear | None
-    ei_ratio: LogLinear | None
-    mei_ratio: LogLinear | None
+    entropy: LogLinear
+    min_entropy: LogLinear
+    ei_ratio: LogLinear
+    mei_ratio: LogLinear
     provenance: dict[str, str] = field(default_factory=dict)
     details: dict[str, str] = field(default_factory=dict)
 
@@ -283,6 +271,20 @@ def palindromic_extend(
     return extended, PalindromicSpec(g, b, LogLinear.from_fraction(eps))
 
 
+def palindromic_spectrum(s: Spectrum, b: int) -> Spectrum:
+    """The spectrum of g's palindromic extension g_b, from g's spectrum s.
+
+    c_gb(a + t * 2^n) = 2 * c_g(a) when t = b + wt(a) (mod 2), else 0. It is
+    dense at n + 1 variables, so the dense cap applies as to a transform.
+    """
+    if b not in (0, 1):
+        raise ValueError("b must be 0 or 1")
+    n = s.n + 1
+    check_dense(n)
+    top = (popcounts(s.size) + b) & 1  # the t at which c_gb(a + t * 2^n) is nonzero
+    return Spectrum(n, 2 * np.concatenate([s.corr * (1 - top), s.corr * top]))
+
+
 def _base_profile(g: TruthTable) -> tuple[Spectrum, MetricsReport]:
     gs = walsh_transform(g)
     if int(gs.corr[0]) != 0:
@@ -290,73 +292,61 @@ def _base_profile(g: TruthTable) -> tuple[Spectrum, MetricsReport]:
     return gs, classify(gs)
 
 
-def _weight1_attains_max(s: Spectrum) -> bool:
-    m = s.max_corr_sq
-    return any(int(s.corr[1 << i]) ** 2 == m for i in range(s.n))
-
-
 def ot_recursion_metrics(g: TruthTable, m: int) -> AnalyticReport:
     """Metrics of the m-th iterated disjoint self-composition of a balanced g.
 
-    Influence multiplies per step and min-entropy adds per step provided some
-    weight-1 point attains the largest squared Walsh value of g; without that
-    hypothesis the min-entropy field (and its ratio) is unavailable for m >= 1.
+    The iterate G_(j+1) = g o G_j has g as its outer factor and the balanced
+    G_j as its inner one. Influence multiplies and entropy composes per step,
+    and G_(j+1)'s peak is ``composition_peak`` of g's spectrum and G_j's peak,
+    so every field is exact for every balanced g and m >= 0.
     """
     if m < 0:
         raise ValueError("iteration count must be >= 0")
     gs, rep = _base_profile(g)
-    inf_g, h_g, hmin_g = rep.influence.rational, rep.entropy, rep.min_entropy
-    hypothesis = _weight1_attains_max(gs)
-    influence = LogLinear.from_fraction(inf_g ** (m + 1))
+    inf_g, h_g = rep.influence.rational, rep.entropy
+    influence = inf_g ** (m + 1)
     h = h_g
+    peak = Fraction(rep.max_corr_sq, 4**g.n)
     for _ in range(m):
         h = h_g + h * inf_g
-    if m == 0 or hypothesis:
-        hmin = hmin_g * (m + 1)
-    else:
-        hmin = None
-    details = {"weight1-attains-max": str(hypothesis).lower()}
-    provenance = {
-        "influence": INFLUENCE_PRODUCT,
-        "entropy": ENTROPY_COMPOSITION,
-    }
-    if hmin is not None:
-        provenance["min_entropy"] = ITERATED_MIN_ENTROPY
+        peak = composition_peak(gs, peak).best
+    hmin = LogLinear.log2(1 / peak)
     return AnalyticReport(
         arity=g.n ** (m + 1),
-        influence=influence,
+        influence=LogLinear.from_fraction(influence),
         entropy=h,
         min_entropy=hmin,
-        ei_ratio=ratio(h, influence),
-        mei_ratio=ratio(hmin, influence) if hmin is not None else None,
-        provenance=provenance,
-        details=details,
+        ei_ratio=h / influence,
+        mei_ratio=hmin / influence,
+        provenance={
+            "influence": INFLUENCE_PRODUCT,
+            "entropy": ENTROPY_COMPOSITION,
+            "min_entropy": ITERATED_MIN_ENTROPY,
+        },
     )
 
 
 def gb_construction_report(g: TruthTable, b: int) -> AnalyticReport:
-    """Metrics of the n(n+1)-variable composition seeded by a balanced g.
+    """Metrics of the n(n+1)-variable composition g_b o g, for a balanced g.
 
-    The outer factor is the palindromic extension of g, the inner factor is g
-    itself; both spectra are dense at n+1 and n variables, so the composed
-    function's influence and min-entropy are exact without a large transform.
-    When g is plateaued and exactly t-resilient with t = b (mod 2), the
-    closed-form ratio Hmin(g) * (t + 3) / (Inf(g) * Inf(g_b)) for that case is
-    evaluated and its exact agreement recorded.
+    Both factors enter through g's spectrum alone: g_b's spectrum is g's,
+    banded and doubled (``palindromic_spectrum``), so g_b has g's entropy and
+    influence Inf(g) + epsilon_b. When g is plateaued and exactly t-resilient
+    with t = b (mod 2), the closed-form ratio Hmin(g) * (t + 3) / (Inf(g) *
+    Inf(g_b)) for that case is evaluated and its exact agreement recorded.
     """
     gs, rep = _base_profile(g)
+    gbs = palindromic_spectrum(gs, b)
     inf_g, h_g, hmin_g = rep.influence.rational, rep.entropy, rep.min_entropy
-    gb, pspec = palindromic_extend(g, b, gs)
-    gbs = walsh_transform(gb)
-    eps = pspec.epsilon_b.rational
+    eps = epsilon_mass(gs, b)
     inf_gb = inf_g + eps
-    influence = LogLinear.from_fraction(inf_g * inf_gb)
-    peak = composition_peak(gbs, gs)
+    influence = inf_g * inf_gb
+    peak = composition_peak(gbs, Fraction(rep.max_corr_sq, 4**g.n))
     hmin = LogLinear.log2(1 / peak.best)
-    h = entropy(gbs) + h_g * inf_gb
-    mei = ratio(hmin, influence)
+    h = h_g * (1 + inf_gb)  # H(g_b) + Inf(g_b) * H(g), with H(g_b) = H(g)
+    mei = hmin / influence
     details = {
-        "epsilon_b": pspec.epsilon_b.as_str(),
+        "epsilon_b": LogLinear.from_fraction(eps).as_str(),
         "min-entropy-weight-class": str(peak.weight_class),
         "min-entropy-witness": format(peak.witness, f"0{g.n + 1}b"),
     }
@@ -367,17 +357,17 @@ def gb_construction_report(g: TruthTable, b: int) -> AnalyticReport:
     }
     t = rep.resilience_order
     if t >= 0 and t % 2 == b and rep.plateaued:
-        closed = hmin_g * (t + 3) / (inf_g * inf_gb)
+        closed = hmin_g * (t + 3) / influence
         details["resilience-order"] = str(t)
         details["closed-form-ratio"] = closed.as_str()
         details["closed-form-agrees"] = str(mei == closed).lower()
         provenance["closed_form"] = RESILIENT_PLATEAUED_FORM
     return AnalyticReport(
         arity=g.n * (g.n + 1),
-        influence=influence,
+        influence=LogLinear.from_fraction(influence),
         entropy=h,
         min_entropy=hmin,
-        ei_ratio=ratio(h, influence),
+        ei_ratio=h / influence,
         mei_ratio=mei,
         provenance=provenance,
         details=details,

@@ -50,7 +50,8 @@ def set_dense_cap(n: int) -> None:
     _dense_cap = n
 
 
-def _check_dense(n: int) -> None:
+def check_dense(n: int) -> None:
+    """Raise DenseCapExceeded when a dense 2^n-point array is above the cap."""
     if n > _dense_cap:
         raise DenseCapExceeded(n, _dense_cap)
 
@@ -198,7 +199,7 @@ def fwht_inplace(a: np.ndarray) -> np.ndarray:
 
 def walsh_transform(f: TruthTable) -> Spectrum:
     """Exact integer Walsh spectrum of f via the O(n*2^n) butterfly."""
-    _check_dense(f.n)
+    check_dense(f.n)
     return Spectrum(f.n, fwht_inplace(f.signs()))
 
 

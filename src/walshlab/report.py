@@ -5,7 +5,7 @@ writes: ``"num/den"`` (integers ``"k"``) for a rational, otherwise
 ``"(K - 60*log2(3) + 4*log2(5))/D"``. Serialising never evaluates a binary64
 value, and parsing accepts exactly those strings. Every document carries
 ``schema_version`` 2; readers reject any other version and any missing,
-unknown or mistyped field.
+unknown or mistyped field. Only a constant function's two ratios are null.
 
 ``CLAIMS`` is the one registry of the toolkit's headline numeric claims, in
 ledger order. ``run_verification_suite`` replays them at their own instance
@@ -98,8 +98,11 @@ def _to_json(r: MetricsReport | construct.AnalyticReport) -> str:
     return json.dumps(_to_dict(r))
 
 
-def _field_from_json(name: str, v):
+def _field_from_json(cls, name: str, v):
     if name in _VALUE_FIELDS:
+        # only a constant function's ratios are null: its influence is 0
+        if v is None and not (cls is MetricsReport and name in ("ei_ratio", "mei_ratio")):
+            raise ValueError(f"field {name!r} cannot be null")
         return value_from_json(v)
     if not _FIELD_CHECKS[name](v):
         raise ValueError(f"field {name!r} cannot be {v!r}")
@@ -114,7 +117,7 @@ def _from_json(cls, text: str):
     unknown = sorted(set(doc).difference(names, ("schema_version",)))
     if missing or unknown:
         raise ValueError(f"missing field(s) {missing}, unknown field(s) {unknown}")
-    return cls(**{k: _field_from_json(k, doc[k]) for k in names})
+    return cls(**{k: _field_from_json(cls, k, doc[k]) for k in names})
 
 
 metrics_to_dict, metrics_to_json = _to_dict, _to_json
@@ -289,10 +292,8 @@ class Claim:
     count: int | None = None
 
 
-def _exact(v: LogLinear | None, q: Fraction) -> _Result:
+def _exact(v: LogLinear, q: Fraction) -> _Result:
     want = LogLinear.from_fraction(q)
-    if v is None:
-        return want.as_str(), "unavailable", False
     return want.as_str(), v.as_str(), v == want
 
 
@@ -364,7 +365,8 @@ def _c11(ctx: _Ctx, count: int) -> _Result:
     for spec in _compositions(0xC11, count):
         analytic = construct.disjoint_min_entropy(spec)
         brute = classify(walsh_transform(construct.disjoint_compose(spec)))
-        peak = construct.composition_peak(walsh_transform(spec.outer), walsh_transform(spec.inner))
+        inner_peak = Fraction(walsh_transform(spec.inner).max_corr_sq, 4**spec.inner.n)
+        peak = construct.composition_peak(walsh_transform(spec.outer), inner_peak)
         if Fraction(brute.max_corr_sq, 4**spec.arity) != peak.best:
             return "exact peak equality", f"mismatch at {_shape(spec)}", False
         if analytic != brute.min_entropy:
@@ -526,7 +528,7 @@ def _seed_family_members(report: Callable, ratio: Fraction) -> Callable[[_Ctx, N
         bad = 0
         for hexstr in res.witnesses:
             rep = report(TruthTable.from_hex(hexstr, 5))
-            if not (rep.mei_ratio and rep.mei_ratio.rational == ratio):
+            if rep.mei_ratio.rational != ratio:
                 bad += 1
         return f"{ratio} for every member", f"{bad} mismatches over {len(res.witnesses)}", bad == 0
 

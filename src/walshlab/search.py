@@ -694,11 +694,13 @@ def resolve_checkpoint_path(path: str) -> str:
     return os.path.join(os.environ.get(CHECKPOINT_DIR_ENV, "."), path)
 
 
-def _write_header(fh, job: SearchJob) -> None:
+def _header(job: SearchJob) -> bytes:
     rec_size = _record_struct(job.witness_cap).size + _CKPT_CRC.size
-    fh.write(
-        _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, job.witness_cap, rec_size, 0, job.digest())
-    )
+    return _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, job.witness_cap, rec_size, 0, job.digest())
+
+
+def _write_synced(fh, data: bytes) -> None:
+    fh.write(data)
     fh.flush()
     os.fsync(fh.fileno())
 
@@ -708,16 +710,16 @@ def _append_record(fh, job: SearchJob, chunk_idx: int, agg: _Agg) -> None:
     body = _record_struct(job.witness_cap).pack(
         chunk_idx, agg.scanned, agg.best_id, agg.count, agg.balanced, len(agg.witnesses), *wit
     )
-    fh.write(body + _CKPT_CRC.pack(zlib.crc32(body)))
-    fh.flush()
-    os.fsync(fh.fileno())
+    _write_synced(fh, body + _CKPT_CRC.pack(zlib.crc32(body)))
 
 
 def _load_checkpoint(path: str, job: SearchJob) -> tuple[dict[int, _Agg], int]:
     """The chunk outcomes recorded in ``path`` and the byte length of its intact part.
 
-    A torn last record (cut short, or failing its CRC) is dropped, so its
-    chunk runs again; a bad record before it, a repeated chunk id, or a
+    A header cut short by an interrupted write (any prefix of this job's
+    header) gives no records and length 0, so the sweep starts again. A torn
+    last record (cut short, or failing its CRC) is dropped, so its chunk runs
+    again; a bad record before it, a repeated chunk id, or a
     chunk id, best id, witness id or witness count outside the job's range
     raises ``CheckpointError``. So do counts that do not fit the chunk: its
     scanned count must equal the functions in its units, and count <=
@@ -729,6 +731,8 @@ def _load_checkpoint(path: str, job: SearchJob) -> tuple[dict[int, _Agg], int]:
     with open(path, "rb") as fh:
         header = fh.read(_CKPT_HEADER.size)
         if len(header) != _CKPT_HEADER.size:
+            if _header(job).startswith(header):
+                return {}, 0
             raise CheckpointError(f"{path}: truncated header")
         magic, version, cap, rec_size, _, digest = _CKPT_HEADER.unpack(header)
         if magic != _CKPT_MAGIC:
@@ -838,17 +842,16 @@ def sweep(
     t0 = time.perf_counter()
     ranges = _chunk_ranges(job)  # builds the family's kernel before any worker forks
     done: dict[int, _Agg] = {}
-    ckpt_path = None
     ckpt_fh = None
     if job.checkpoint_path is not None:
         ckpt_path = resolve_checkpoint_path(job.checkpoint_path)
-        if os.path.exists(ckpt_path):
-            done, intact = _load_checkpoint(ckpt_path, job)
+        done, intact = _load_checkpoint(ckpt_path, job) if os.path.exists(ckpt_path) else ({}, 0)
+        if intact:
             os.truncate(ckpt_path, intact)  # new records follow the last intact one
             ckpt_fh = open(ckpt_path, "ab")
         else:
             ckpt_fh = open(ckpt_path, "wb")
-            _write_header(ckpt_fh, job)
+            _write_synced(ckpt_fh, _header(job))
     resumed = len(done)
     pending = [i for i in range(len(ranges)) if i not in done]
     try:

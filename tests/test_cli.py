@@ -95,6 +95,15 @@ def test_construct_ot(capsys):
     assert doc["arity"] == 25
 
 
+def test_construct_ot_without_weight1_maximum(capsys):
+    # the xor2 seed's largest squared value sits at weight 2; one step is 4-variable parity
+    code, out, _ = run_cli(capsys, "construct", "ot", "--g", "6", "--n", "2", "--m", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["min_entropy"] == "0" and doc["mei_ratio"] == "0"
+    assert doc["influence"] == "4" and doc["arity"] == 4
+
+
 def test_construct_palindrome_big(capsys):
     code, out, _ = run_cli(
         capsys, "construct", "palindrome", "--g", f"anf:{QUINTIC_SEED_ANF}", "--n", "5",

@@ -25,6 +25,7 @@ from walshlab.construct import (
     gb_construction_report,
     ot_recursion_metrics,
     palindromic_extend,
+    palindromic_spectrum,
 )
 from walshlab.metrics import classify, entropy, influence_spectral
 from walshlab.report import QUINTIC_SEED_ANF
@@ -182,7 +183,7 @@ def test_disjoint_min_entropy_matches_brute_force(rng):
         spec = CompositionSpec(f, g)
         analytic = disjoint_min_entropy(spec)
         brute = classify(walsh_transform(disjoint_compose(spec)))
-        peak = composition_peak(walsh_transform(f), walsh_transform(g))
+        peak = composition_peak(walsh_transform(f), Fraction(walsh_transform(g).max_corr_sq, 4**l))
         assert peak.best == Fraction(brute.max_corr_sq, 4**spec.arity)
         assert analytic == brute.min_entropy
 
@@ -239,34 +240,51 @@ def test_ot_rejects_unbalanced():
         ot_recursion_metrics(TruthTable(2, 0b0111), 1)
 
 
-def test_ot_hypothesis_failure_degrades():
-    # parity's largest squared value sits at weight 2, so no weight-1 witness
+def test_ot_parity_seed_is_exact():
+    # parity's largest squared value sits at weight 2, not weight 1; one step
+    # of the xor2 seed is the 4-variable parity, whose whole mass is one point
     xor2 = table_from_anf("X1 + X2", 2)
     rep = ot_recursion_metrics(xor2, 1)
-    assert rep.min_entropy is None and rep.mei_ratio is None
-    assert rep.details["weight1-attains-max"] == "false"
-    assert rep.influence.rational == 4  # product rule still applies
+    assert rep.min_entropy.rational == 0 and rep.mei_ratio.rational == 0
+    assert rep.influence.rational == 4
+    assert rep.provenance["min_entropy"] == "iterated-composition-min-entropy"
     base = ot_recursion_metrics(xor2, 0)
     assert base.min_entropy.rational == 0  # m=0 reports the seed itself
 
 
-def test_ot_materialised_cross_check(rng):
-    # every 3-variable balanced seed satisfying the weight-1 hypothesis,
-    # iterated once to 9 variables and measured directly
-    checked = 0
-    for g in balanced_tables(3):
+def _peak_off_weight1(rng, count: int) -> list[TruthTable]:
+    """Balanced 4-variable seeds whose largest squared value, below 1, no weight-1 point attains."""
+    seeds = []
+    while len(seeds) < count:
+        g = random_balanced(rng, 4)
         gs = walsh_transform(g)
-        m = gs.max_corr_sq
-        if not any(int(gs.corr[1 << i]) ** 2 == m for i in range(3)):
-            continue
-        rep = ot_recursion_metrics(g, 1)
-        brute = classify(walsh_transform(disjoint_compose(CompositionSpec(g, g))))
+        if max(int(gs.corr[1 << i]) ** 2 for i in range(4)) < gs.max_corr_sq < 4**4:
+            seeds.append(g)
+    return seeds
+
+
+def test_ot_materialised_cross_check(rng):
+    # every balanced 3-variable seed iterated once to 9 variables, every
+    # balanced 2-variable seed twice to 8, and 4-variable seeds whose peak is
+    # off weight 1 once to 16, each measured directly
+    hard = _peak_off_weight1(rng, 8)
+    cases = [(g, 1, CompositionSpec(g, g)) for g in [*balanced_tables(3), *hard]]
+    cases += [(g, 2, CompositionSpec(g, disjoint_compose(CompositionSpec(g, g)))) for g in balanced_tables(2)]
+    assert len(cases) == 70 + 8 + 6
+    for g, m, spec in cases:
+        rep = ot_recursion_metrics(g, m)
+        brute = classify(walsh_transform(disjoint_compose(spec)))
+        assert rep.arity == brute.n
         assert rep.influence.rational == brute.influence.rational
         assert rep.min_entropy == brute.min_entropy
         assert rep.entropy == brute.entropy
         assert rep.mei_ratio == brute.mei_ratio and rep.ei_ratio == brute.ei_ratio
-        checked += 1
-    assert checked > 10
+    for g in hard:
+        # min-entropy does not add per step on these seeds
+        assert ot_recursion_metrics(g, 1).min_entropy != ot_recursion_metrics(g, 0).min_entropy * 2
+        # two steps (64 variables): the peak of g o G_1 with G_1 materialised and transformed
+        inner = disjoint_compose(CompositionSpec(g, g))
+        assert ot_recursion_metrics(g, 2).min_entropy == disjoint_min_entropy(CompositionSpec(g, inner))
 
 
 # --- palindromic extension ----------------------------------------------------------
@@ -294,6 +312,7 @@ def test_palindromic_banding_rule(rng):
                 factor = 1 + (1 - 2 * ((b + wt_ext) & 1))
                 expected = factor * np.tile(base, 2)
                 assert np.array_equal(got, expected)
+                assert np.array_equal(palindromic_spectrum(walsh_transform(g), b).corr, got)
 
 
 def test_palindromic_mass_partition(rng):
@@ -357,13 +376,10 @@ def test_gb_rejects_unbalanced():
         gb_construction_report(TruthTable(2, 0b0111), 0)
 
 
-def test_gb_small_scale_brute_force(rng):
-    # 3-variable balanced seeds -> 12-variable compositions, measured directly
+def test_gb_small_scale_brute_force():
+    # every balanced 3-variable seed -> 12-variable compositions, measured directly
     checked = 0
     for g in balanced_tables(3):
-        rep_g = classify(walsh_transform(g))
-        if not rep_g.plateaued:
-            continue
         for b in (0, 1):
             rep = gb_construction_report(g, b)
             ext, _ = palindromic_extend(g, b)
@@ -375,6 +391,39 @@ def test_gb_small_scale_brute_force(rng):
             assert rep.mei_ratio == brute.mei_ratio and rep.ei_ratio == brute.ei_ratio
             assert rep.details.get("closed-form-agrees", "true") == "true"
         checked += 1
-        if checked >= 12:
-            break
-    assert checked >= 12
+    assert checked == 70
+
+
+def test_gb_transforms_only_the_seed(monkeypatch):
+    import walshlab.construct as construct_mod
+
+    calls = []
+
+    def counted(f):
+        calls.append(f.n)
+        return walsh_transform(f)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the report materialised the extension")
+
+    monkeypatch.setattr(construct_mod, "walsh_transform", counted)
+    monkeypatch.setattr(construct_mod, "reverse", forbidden)
+    monkeypatch.setattr(construct_mod, "palindromic_extend", forbidden)
+    for b in (0, 1):
+        assert gb_construction_report(seed5(), b).arity == 30
+    assert calls == [5, 5]
+
+
+def test_gb_respects_dense_cap(rng):
+    # the extension's spectrum is dense at n + 1 variables
+    old = dense_cap()
+    try:
+        set_dense_cap(6)
+        g = random_balanced(rng, 6)
+        with pytest.raises(DenseCapExceeded) as err:
+            gb_construction_report(g, 0)
+        assert err.value.n == 7
+        with pytest.raises(DenseCapExceeded):
+            palindromic_spectrum(walsh_transform(g), 1)
+    finally:
+        set_dense_cap(old)

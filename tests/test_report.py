@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from walshlab.core import Spectrum, table_from_anf, walsh_transform
+from walshlab.core import Spectrum, TruthTable, table_from_anf, walsh_transform
 from walshlab.construct import gb_construction_report, ot_recursion_metrics
 from walshlab.metrics import LogLinear, classify
 from walshlab.report import (
@@ -52,6 +52,13 @@ def test_metrics_json_contains_exact_ratio():
 def test_metrics_json_parity_min_entropy():
     rep = classify(walsh_transform(table_from_anf("X1 + X2 + X3", 3)))
     assert json.loads(metrics_to_json(rep))["min_entropy"] == "0"
+
+
+def test_metrics_constant_function_ratios_are_null():
+    rep = classify(walsh_transform(TruthTable(3, 0)))
+    doc = json.loads(metrics_to_json(rep))
+    assert doc["ei_ratio"] is None and doc["mei_ratio"] is None
+    assert metrics_from_json(json.dumps(doc)) == rep
 
 
 def test_metrics_round_trip_random(rng):
@@ -121,6 +128,9 @@ def _irrational_metrics_doc() -> dict:
         ("bent", "false"),
         ("plateau_level", 1.5),
         ("plateau_level", False),
+        ("influence", None),  # only the two ratios may be null
+        ("entropy", None),
+        ("min_entropy", None),
     ],
 )
 def test_metrics_from_json_rejects(field, value):
@@ -151,6 +161,11 @@ def test_analytic_from_json_rejects_other_schema():
         ("provenance", {"min_entropy": 1}),
         ("details", None),
         ("details", {"epsilon_b": None}),
+        ("influence", None),  # a report composes a balanced seed, so no value is null
+        ("entropy", None),
+        ("min_entropy", None),
+        ("ei_ratio", None),
+        ("mei_ratio", None),
     ],
 )
 def test_analytic_from_json_rejects(field, value):

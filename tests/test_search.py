@@ -652,6 +652,26 @@ def test_checkpoint_torn_last_record_reruns(tmp_path, damage):
     assert path.read_bytes() == intact  # the torn bytes were replaced, not appended to
 
 
+@pytest.mark.parametrize("kept", [0, 20])
+def test_checkpoint_torn_header_starts_again(tmp_path, kept):
+    # a crash between creating the file and syncing its header leaves a prefix of the header
+    job, path, fresh, _ = _checkpointed(tmp_path)
+    intact = path.read_bytes()
+    path.write_bytes(intact[:kept])
+    rerun = sweep(job, threads=1)
+    assert rerun.resumed_chunks == 0
+    assert search_result_canonical(rerun) == search_result_canonical(fresh)
+    assert path.read_bytes() == intact
+
+
+def test_checkpoint_short_foreign_file_rejected(tmp_path):
+    job, path, _, _ = _checkpointed(tmp_path)
+    path.write_bytes(b"hello")
+    with pytest.raises(CheckpointError, match="truncated header"):
+        sweep(job, threads=1)
+    assert path.read_bytes() == b"hello"
+
+
 def test_checkpoint_bad_record_mid_file(tmp_path):
     job, path, _, _ = _checkpointed(tmp_path)
     data = bytearray(path.read_bytes())

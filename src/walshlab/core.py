@@ -6,13 +6,22 @@ with variable ``X_j`` carried by index bit j-1 (X_1 is least significant).
 Spectra hold the unnormalised correlations c(a) = 2^n * W_f(a), which are
 exact 64-bit integers for every arity this library supports.
 
-The butterfly of ``walsh_transform`` runs in int32: every partial sum is
-bounded by |c| <= 2^n <= 2^28, and the doubled operand of a butterfly step
-by 2^29, both below 2^31 at ``N_MAX``. The result is widened to int64 once,
-when it is stored in ``Spectrum.corr``.
+``walsh_transform`` takes one of two exact paths, chosen by arity:
+
+- Up to ``_GEMM_MAX_N`` variables the spectrum is H_R . X . H_C, two float32
+  matrix products: X is the +-1 signs viewed as an R x C array with
+  C = 2^floor(n/2), and H_R, H_C are Sylvester-Hadamard matrices. Every
+  partial sum of either product is an integer with |.| <= 2^n <= 2^15, and
+  float32 holds every integer up to 2^24, so the products are exact in any
+  summation order. The result is cast to int64 once.
+- Above it, the in-place butterfly of ``fwht_inplace`` runs in int32: every
+  partial sum is bounded by |c| <= 2^n <= 2^28, and the doubled operand of a
+  butterfly step by 2^29, both below 2^31 at ``N_MAX``. The result is
+  widened to int64 once, when it is stored in ``Spectrum.corr``.
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -22,6 +31,9 @@ import numpy as np
 # and their squares fit in int64.
 N_MAX = 28
 DEFAULT_DENSE_CAP = 24
+# Largest arity transformed by two GEMMs; from n=16 up the butterfly is as
+# fast or faster on one BLAS thread (measured crossover table in CHANGES.md).
+_GEMM_MAX_N = 15
 
 _dense_cap = DEFAULT_DENSE_CAP
 
@@ -131,6 +143,11 @@ class TruthTable:
 
     @classmethod
     def from_array(cls, arr: np.ndarray, n: int) -> "TruthTable":
+        """Build from a 1-d array of the 2^n outputs, each 0 or 1."""
+        if arr.shape != (1 << n,):
+            raise ValueError(f"expected {1 << n} outputs, got shape {arr.shape}")
+        if not ((arr == 0) | (arr == 1)).all():
+            raise ValueError("outputs must be 0 or 1")
         packed = np.packbits(arr.astype(np.uint8), bitorder="little").tobytes()
         return cls(n, int.from_bytes(packed, "little"))
 
@@ -177,6 +194,13 @@ def _butterfly_rows(m: np.ndarray) -> None:
         h *= 2
 
 
+def _transform_bits(size: int) -> int:
+    """m for a transform axis of length 2^m; ValueError naming any other length."""
+    if size < 1 or size & (size - 1):
+        raise ValueError(f"transform length {size} is not a power of two")
+    return size.bit_length() - 1
+
+
 def fwht_inplace(a: np.ndarray) -> np.ndarray:
     """In-place integer Walsh-Hadamard butterfly along the last axis.
 
@@ -188,7 +212,7 @@ def fwht_inplace(a: np.ndarray) -> np.ndarray:
     is copied back. Applying it twice multiplies the input by its length.
     """
     size = a.shape[-1]
-    cols = 1 << ((size.bit_length() - 1) // 2)
+    cols = 1 << (_transform_bits(size) // 2)
     m = a.reshape(a.shape[:-1] + (size // cols, cols))
     _butterfly_rows(m)
     t = np.ascontiguousarray(m.swapaxes(-1, -2))
@@ -197,10 +221,37 @@ def fwht_inplace(a: np.ndarray) -> np.ndarray:
     return m.reshape(a.shape)
 
 
+@functools.cache
+def _hadamard(k: int) -> np.ndarray:
+    """The 2^k x 2^k Sylvester-Hadamard matrix (-1)^<i,j>, float32 and read-only."""
+    i = np.arange(1 << k)
+    h = np.where(np.bitwise_count(i[:, None] & i) & 1, -1, 1).astype(np.float32)
+    h.flags.writeable = False  # shared by every later transform
+    return h
+
+
+def _walsh_spectra(signs: np.ndarray) -> np.ndarray:
+    """Exact int64 Walsh spectra of the +-1 ``signs`` along the last axis.
+
+    Leading axes are independent transforms. A last axis of 2^m points with
+    m <= ``_GEMM_MAX_N`` is viewed as R x C, C = 2^floor(m/2), with the high
+    index bits on the rows, and transformed as H_R . X . H_C in float32.
+    Longer axes go through the int32 butterfly, which overwrites ``signs``.
+    """
+    m = _transform_bits(signs.shape[-1])
+    if m > _GEMM_MAX_N:
+        return fwht_inplace(signs).astype(np.int64)
+    c = m // 2
+    x = signs.astype(np.float32).reshape(signs.shape[:-1] + (1 << (m - c), 1 << c))
+    # reshaping before the cast leaves the int64 result owning its memory, so a
+    # read-only Spectrum.corr has no writeable base
+    return (_hadamard(m - c) @ x @ _hadamard(c)).reshape(signs.shape).astype(np.int64)
+
+
 def walsh_transform(f: TruthTable) -> Spectrum:
-    """Exact integer Walsh spectrum of f via the O(n*2^n) butterfly."""
+    """Exact integer Walsh spectrum of f: two Hadamard GEMMs or the O(n*2^n) butterfly."""
     check_dense(f.n)
-    return Spectrum(f.n, fwht_inplace(f.signs()))
+    return Spectrum(f.n, _walsh_spectra(f.signs()))
 
 
 def reverse(f: TruthTable) -> TruthTable:

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import construct, search
-from .core import Spectrum, TruthTable, fwht_inplace, popcounts, reverse, table_from_anf, walsh_transform
+from .core import Spectrum, TruthTable, _walsh_spectra, popcounts, reverse, table_from_anf, walsh_transform
 from .metrics import (
     LogLinear,
     MetricsReport,
@@ -327,11 +327,12 @@ def _tables(seed: int, count: int) -> Iterator[list[TruthTable]]:
 
 
 def _spectra(tables: list[TruthTable]) -> list[Spectrum]:
-    """The Walsh spectra of functions of one arity, from one butterfly over all of them.
+    """The Walsh spectra of functions of one arity, from one batched transform.
 
-    At n <= 11 a transform is mostly per-call overhead, which this pays once.
+    Even the GEMM path costs about 10 us a call at n <= 10, mostly dispatch
+    and casts, which one call over the stacked tables pays once.
     """
-    corr = fwht_inplace(np.array([t.signs() for t in tables])).astype(np.int64)
+    corr = _walsh_spectra(np.array([t.signs() for t in tables]))
     return [Spectrum(t.n, row) for t, row in zip(tables, corr)]
 
 

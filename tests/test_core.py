@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from walshlab import core
 from walshlab.core import (
     AnfParseError,
     DenseCapExceeded,
@@ -78,6 +79,29 @@ def test_table_basics():
         TruthTable(0, 0)
     with pytest.raises(ValueError):
         TruthTable(1, 5)
+
+
+def test_from_array_accepts_bits():
+    assert TruthTable.from_array(np.array([0, 1, 1, 0]), 2) == TruthTable(2, 0b0110)
+    assert TruthTable.from_array(np.array([True, False]), 1) == TruthTable(1, 0b01)
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.ones(3),  # was padded to bits=7
+        np.ones(5),
+        np.ones((2, 2)),
+        np.array([2, 0, 0, 0]),  # the 2 was read as 1
+        np.array([-1, 0, 0, 0]),
+        np.array([0.5, 0, 0, 1]),
+        np.array([256, 0, 0, 0], dtype=np.int64),  # wraps to 0 in uint8
+    ],
+    ids=["short", "long", "2-d", "two", "negative", "half", "wraps"],
+)
+def test_from_array_rejects(arr):
+    with pytest.raises(ValueError):
+        TruthTable.from_array(arr, 2)
 
 
 # --- ANF ------------------------------------------------------------------------
@@ -169,6 +193,63 @@ def test_walsh_matches_reference_butterfly(rng):
             assert np.array_equal(s.corr, reference_butterfly(t.signs()))
 
 
+def test_gemm_all_small_tables_batched():
+    for n in range(1, 5):
+        ids = np.arange(1 << (1 << n), dtype=np.int64)
+        signs = (1 - 2 * ((ids[:, None] >> np.arange(1 << n)) & 1)).astype(np.int32)
+        got = core._walsh_spectra(signs.copy())
+        assert got.dtype == np.int64
+        assert np.array_equal(got, reference_butterfly(signs))
+
+
+def test_walsh_largest_values_on_both_paths():
+    for n in range(1, core._GEMM_MAX_N + 2):
+        # the constant and parity tables reach |c| = 2^n, the largest correlation
+        parity = TruthTable.from_array(popcounts(1 << n) & 1, n)
+        for t, at in ((TruthTable(n, 0), 0), (parity, (1 << n) - 1)):
+            for f, sign in ((t, 1), (t.complement(), -1)):
+                want = np.zeros(1 << n, dtype=np.int64)
+                want[at] = sign << n
+                assert np.array_equal(walsh_transform(f).corr, want), (n, f.bits == 0)
+        # one point reaches c(0) = 2^n - 2, the largest value short of a power of two,
+        # which a float with fewer than n - 1 significand bits rounds
+        want = 4 * (popcounts(1 << n) & 1) - 2
+        want[0] += 1 << n
+        assert np.array_equal(walsh_transform(TruthTable(n, 1 << ((1 << n) - 1))).corr, want), n
+
+
+@pytest.mark.parametrize("n", [core._GEMM_MAX_N, core._GEMM_MAX_N + 1])
+def test_walsh_either_side_of_gemm_threshold(rng, monkeypatch, n):
+    calls = []
+
+    def spy(a):
+        calls.append(a.shape)
+        return fwht_inplace(a)
+
+    monkeypatch.setattr(core, "fwht_inplace", spy)
+    t = random_table(rng, n)
+    assert np.array_equal(walsh_transform(t).corr, reference_butterfly(t.signs()))
+    assert calls == ([] if n <= core._GEMM_MAX_N else [(1 << n,)])
+
+
+def test_hadamard_factors_are_read_only():
+    for k in range(core._GEMM_MAX_N // 2 + 2):
+        h = core._hadamard(k)
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 0] = 5
+        assert np.array_equal(h @ h, np.eye(1 << k) * (1 << k))
+    t = table_from_anf("X1X2 + X3X4X5 + X6", 6)
+    assert np.array_equal(walsh_transform(t).corr, reference_butterfly(t.signs()))
+
+
+@pytest.mark.parametrize("transform", [fwht_inplace, core._walsh_spectra])
+@pytest.mark.parametrize("size", [0, 3, 6, 12])
+def test_transform_length_must_be_power_of_two(transform, size):
+    with pytest.raises(ValueError, match=f"transform length {size} is not a power of two"):
+        transform(np.ones((2, size), dtype=np.int32))
+
+
 def test_walsh_quintic_witness_support():
     # sixteen nonzero correlations, all of square 64 (Parseval: 16 * 64 = 4^5)
     s = walsh_transform(table_from_anf(QUINTIC_MAX_ANF, 5))
@@ -214,9 +295,11 @@ def test_butterfly_batched_int64(rng):
 
 
 def test_spectrum_is_immutable():
-    s = walsh_transform(TruthTable(2, 0b0110))
-    with pytest.raises(ValueError):
-        s.corr[0] = 1
+    for n in (2, core._GEMM_MAX_N + 1):
+        s = walsh_transform(TruthTable(n, 0b0110))
+        with pytest.raises(ValueError):
+            s.corr[0] = 1
+        assert s.corr.base is None  # no writeable array behind the read-only view
 
 
 def test_dense_cap_error():

@@ -27,7 +27,6 @@ from .metrics import (
 from .construct import (
     AnalyticReport,
     CompositionSpec,
-    PalindromicSpec,
     UnbalancedFunctionError,
     VectorialFunction,
     compose_vectorial,

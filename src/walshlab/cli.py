@@ -94,12 +94,12 @@ def _cmd_construct(args) -> int:
         rep = construct.gb_construction_report(g, args.b)
         print(report.analytic_to_json(rep))
         return 0
-    extended, pspec = construct.palindromic_extend(g, args.b)
+    extended = construct.palindromic_extend(g, args.b)
     doc = {
         "schema_version": report.SCHEMA_VERSION,
         "n": extended.n,
         "tt": extended.to_hex(),
-        "epsilon_b": pspec.epsilon_b.as_str(),
+        "epsilon_b": str(construct.epsilon_mass(walsh_transform(g), args.b)),
         "metrics": report.metrics_to_dict(classify(walsh_transform(extended))),
     }
     print(json.dumps(doc))

@@ -2,15 +2,19 @@
 
 Covers plain and block (disjoint) composition of truth tables, the exact
 Walsh values of a disjoint composition with a balanced inner function, the
-min-entropy of such compositions, the iterated disjoint self-composition
-ratio amplifier, and the palindromic single-variable extension together
-with the large composed functions it seeds.
+min-entropy of such compositions, and the palindromic single-variable
+extension: ``palindromic_extend`` returns the extended table and
+``palindromic_spectrum`` its spectrum, read off the base spectrum.
 
-The analytic paths never materialise large tables: a 30-variable composed
-function is described exactly by its 5-variable seed's spectrum alone.
-Every reported value is an exact ``LogLinear``: influence multiplies,
-entropy composes as H(f) + Inf(f) * H(g), and min-entropy is log2 of the
-exact composition peak, so each rule is an identity, not an approximation.
+Both analytic reports are one fold over a composition chain f1 o ... o fd,
+started at its innermost factor: the iterated self-composition of m steps
+is the chain of m + 1 copies of g, and the n(n+1)-variable construction is
+the chain g_b o g. The fold never materialises a table: a 30-variable
+composed function is described exactly by its 5-variable seed's spectrum
+alone. Every reported value is an exact ``LogLinear``: influence
+multiplies, entropy composes as H(f) + Inf(f) * H(g), and min-entropy is
+log2 of the exact composition peak, so each rule is an identity, not an
+approximation.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import Spectrum, TruthTable, check_dense, popcounts, reverse, walsh_transform
-from .metrics import LogLinear, MetricsReport, classify
+from .metrics import LogLinear, classify
 
 _CHUNK = 1 << 20
 
@@ -101,11 +105,9 @@ def disjoint_compose(spec: CompositionSpec) -> TruthTable:
     return compose_vectorial(spec.outer, g)
 
 
-def _require_balanced_inner(spec: CompositionSpec, inner_spectrum: Spectrum) -> None:
-    if int(inner_spectrum.corr[0]) != 0:
-        raise UnbalancedFunctionError(
-            "the analytic composition spectrum requires a balanced inner function"
-        )
+def _require_balanced(*spectra: Spectrum) -> None:
+    if any(int(s.corr[0]) for s in spectra):
+        raise UnbalancedFunctionError("analytic composition requires a balanced inner function")
 
 
 def disjoint_walsh(
@@ -122,8 +124,10 @@ def disjoint_walsh(
     """
     fs = outer_spectrum if outer_spectrum is not None else walsh_transform(spec.outer)
     gs = inner_spectrum if inner_spectrum is not None else walsh_transform(spec.inner)
-    _require_balanced_inner(spec, gs)
     k, l = spec.outer.n, spec.inner.n
+    if (fs.n, gs.n) != (k, l):
+        raise ValueError(f"spectra of arities ({fs.n}, {gs.n}) passed for factors of arities ({k}, {l})")
+    _require_balanced(gs)
     if not 0 <= u < 1 << (k * l):
         raise ValueError(f"point {u} out of range for arity {k * l}")
     mask = (1 << l) - 1
@@ -150,7 +154,7 @@ def disjoint_spectrum(spec: CompositionSpec) -> Spectrum:
     """
     fs = walsh_transform(spec.outer)
     gs = walsh_transform(spec.inner)
-    _require_balanced_inner(spec, gs)
+    _require_balanced(gs)
     k, l = spec.outer.n, spec.inner.n
     n = k * l
     check_dense(n)
@@ -204,7 +208,7 @@ def disjoint_min_entropy(spec: CompositionSpec) -> LogLinear:
     """Min-entropy of the composition from its factors' dense spectra."""
     fs = walsh_transform(spec.outer)
     gs = walsh_transform(spec.inner)
-    _require_balanced_inner(spec, gs)
+    _require_balanced(gs)
     peak = composition_peak(fs, Fraction(gs.max_corr_sq, 4**spec.inner.n))
     return LogLinear.log2(1 / peak.best)
 
@@ -237,15 +241,6 @@ class AnalyticReport:
     details: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class PalindromicSpec:
-    """Inputs of the single-variable palindromic extension plus its spectral mass."""
-
-    base: TruthTable
-    b: int
-    epsilon_b: LogLinear
-
-
 def epsilon_mass(s: Spectrum, b: int) -> Fraction:
     """Squared spectral mass on points whose weight is incongruent to b mod 2."""
     wt = popcounts(s.size)
@@ -254,21 +249,14 @@ def epsilon_mass(s: Spectrum, b: int) -> Fraction:
     return Fraction(int(np.dot(c, c)), 4**s.n)
 
 
-def palindromic_extend(
-    g: TruthTable, b: int, spectrum: Spectrum | None = None
-) -> tuple[TruthTable, PalindromicSpec]:
-    """Append one variable: concatenate g with (the complement of, when b=1) its reversal.
-
-    g's spectrum may be passed in when the caller already has it.
-    """
+def palindromic_extend(g: TruthTable, b: int) -> TruthTable:
+    """Append one variable: concatenate g with (the complement of, when b=1) its reversal."""
     if b not in (0, 1):
         raise ValueError("b must be 0 or 1")
     top = reverse(g)
     if b == 1:
         top = top.complement()
-    extended = TruthTable(g.n + 1, g.bits | (top.bits << g.size))
-    eps = epsilon_mass(spectrum if spectrum is not None else walsh_transform(g), b)
-    return extended, PalindromicSpec(g, b, LogLinear.from_fraction(eps))
+    return TruthTable(g.n + 1, g.bits | (top.bits << g.size))
 
 
 def palindromic_spectrum(s: Spectrum, b: int) -> Spectrum:
@@ -285,45 +273,54 @@ def palindromic_spectrum(s: Spectrum, b: int) -> Spectrum:
     return Spectrum(n, 2 * np.concatenate([s.corr * (1 - top), s.corr * top]))
 
 
-def _base_profile(g: TruthTable) -> tuple[Spectrum, MetricsReport]:
-    gs = walsh_transform(g)
-    if int(gs.corr[0]) != 0:
-        raise UnbalancedFunctionError("construction requires a balanced seed function")
-    return gs, classify(gs)
+def _fold(
+    factors: list[tuple[Spectrum, Fraction, LogLinear]],
+) -> tuple[Fraction, LogLinear, LogLinear, CompositionPeak | None]:
+    """Influence, entropy and min-entropy of the chain f1 o f2 o ... o fd, and its last peak step.
+
+    ``factors`` gives each f_j as (spectrum, influence, entropy), outermost
+    first. Each step needs a balanced inner chain, and a chain is balanced
+    when its outermost factor is, so every factor but f1 must be balanced;
+    so must a lone f1, a report's seed. The fold starts at fd and composes
+    one factor f over the chain so far per step, by O'Donnell and Tan's
+    composition rules in exact arithmetic:
+    influence multiplies, H <- H(f) + Inf(f) * H, and the peak is
+    ``composition_peak`` of f's spectrum and the inner chain's peak.
+    """
+    _require_balanced(*(s for s, _, _ in factors[1:] or factors))
+    s, influence, h = factors[-1]
+    peak, step = Fraction(s.max_corr_sq, 4**s.n), None
+    for s, inf_f, h_f in reversed(factors[:-1]):
+        step = composition_peak(s, peak)
+        influence, h, peak = inf_f * influence, h_f + h * inf_f, step.best
+    return influence, h, LogLinear.log2(1 / peak), step
+
+
+def _report(
+    arity: int, influence: Fraction, h: LogLinear, hmin: LogLinear, provenance: dict[str, str], details: dict[str, str]
+) -> AnalyticReport:
+    return AnalyticReport(
+        arity, LogLinear.from_fraction(influence), h, hmin, h / influence, hmin / influence, provenance, details
+    )
 
 
 def ot_recursion_metrics(g: TruthTable, m: int) -> AnalyticReport:
     """Metrics of the m-th iterated disjoint self-composition of a balanced g.
 
-    The iterate G_(j+1) = g o G_j has g as its outer factor and the balanced
-    G_j as its inner one. Influence multiplies and entropy composes per step,
-    and G_(j+1)'s peak is ``composition_peak`` of g's spectrum and G_j's peak,
-    so every field is exact for every balanced g and m >= 0.
+    The iterate G_(j+1) = g o G_j is the chain of m + 1 copies of g, so every
+    field is exact for every balanced g and m >= 0.
     """
     if m < 0:
         raise ValueError("iteration count must be >= 0")
-    gs, rep = _base_profile(g)
-    inf_g, h_g = rep.influence.rational, rep.entropy
-    influence = inf_g ** (m + 1)
-    h = h_g
-    peak = Fraction(rep.max_corr_sq, 4**g.n)
-    for _ in range(m):
-        h = h_g + h * inf_g
-        peak = composition_peak(gs, peak).best
-    hmin = LogLinear.log2(1 / peak)
-    return AnalyticReport(
-        arity=g.n ** (m + 1),
-        influence=LogLinear.from_fraction(influence),
-        entropy=h,
-        min_entropy=hmin,
-        ei_ratio=h / influence,
-        mei_ratio=hmin / influence,
-        provenance={
-            "influence": INFLUENCE_PRODUCT,
-            "entropy": ENTROPY_COMPOSITION,
-            "min_entropy": ITERATED_MIN_ENTROPY,
-        },
-    )
+    gs = walsh_transform(g)
+    rep = classify(gs)
+    influence, h, hmin, _ = _fold([(gs, rep.influence.rational, rep.entropy)] * (m + 1))
+    provenance = {
+        "influence": INFLUENCE_PRODUCT,
+        "entropy": ENTROPY_COMPOSITION,
+        "min_entropy": ITERATED_MIN_ENTROPY,
+    }
+    return _report(g.n ** (m + 1), influence, h, hmin, provenance, {})
 
 
 def gb_construction_report(g: TruthTable, b: int) -> AnalyticReport:
@@ -335,18 +332,13 @@ def gb_construction_report(g: TruthTable, b: int) -> AnalyticReport:
     with t = b (mod 2), the closed-form ratio Hmin(g) * (t + 3) / (Inf(g) *
     Inf(g_b)) for that case is evaluated and its exact agreement recorded.
     """
-    gs, rep = _base_profile(g)
-    gbs = palindromic_spectrum(gs, b)
-    inf_g, h_g, hmin_g = rep.influence.rational, rep.entropy, rep.min_entropy
+    gs = walsh_transform(g)
+    rep = classify(gs)
+    inf_g, h_g = rep.influence.rational, rep.entropy
     eps = epsilon_mass(gs, b)
-    inf_gb = inf_g + eps
-    influence = inf_g * inf_gb
-    peak = composition_peak(gbs, Fraction(rep.max_corr_sq, 4**g.n))
-    hmin = LogLinear.log2(1 / peak.best)
-    h = h_g * (1 + inf_gb)  # H(g_b) + Inf(g_b) * H(g), with H(g_b) = H(g)
-    mei = hmin / influence
+    influence, h, hmin, peak = _fold([(palindromic_spectrum(gs, b), inf_g + eps, h_g), (gs, inf_g, h_g)])
     details = {
-        "epsilon_b": LogLinear.from_fraction(eps).as_str(),
+        "epsilon_b": str(eps),
         "min-entropy-weight-class": str(peak.weight_class),
         "min-entropy-witness": format(peak.witness, f"0{g.n + 1}b"),
     }
@@ -357,18 +349,9 @@ def gb_construction_report(g: TruthTable, b: int) -> AnalyticReport:
     }
     t = rep.resilience_order
     if t >= 0 and t % 2 == b and rep.plateaued:
-        closed = hmin_g * (t + 3) / influence
+        closed = rep.min_entropy * (t + 3) / influence
         details["resilience-order"] = str(t)
         details["closed-form-ratio"] = closed.as_str()
-        details["closed-form-agrees"] = str(mei == closed).lower()
+        details["closed-form-agrees"] = str(hmin / influence == closed).lower()
         provenance["closed_form"] = RESILIENT_PLATEAUED_FORM
-    return AnalyticReport(
-        arity=g.n * (g.n + 1),
-        influence=LogLinear.from_fraction(influence),
-        entropy=h,
-        min_entropy=hmin,
-        ei_ratio=h / influence,
-        mei_ratio=mei,
-        provenance=provenance,
-        details=details,
-    )
+    return _report(g.n * (g.n + 1), influence, h, hmin, provenance, details)

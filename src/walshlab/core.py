@@ -73,6 +73,11 @@ def popcounts(size: int) -> np.ndarray:
     return np.bitwise_count(np.arange(size, dtype=np.uint64)).astype(np.int64)
 
 
+def _check_arity(n: int) -> None:
+    if not 1 <= n <= N_MAX:
+        raise ValueError(f"arity must be in [1, {N_MAX}], got {n}")
+
+
 @dataclass(frozen=True)
 class TruthTable:
     """An n-variable Boolean function as a packed 2^n-bit integer."""
@@ -81,8 +86,7 @@ class TruthTable:
     bits: int
 
     def __post_init__(self):
-        if not 1 <= self.n <= N_MAX:
-            raise ValueError(f"arity must be in [1, {N_MAX}], got {self.n}")
+        _check_arity(self.n)
         if not 0 <= self.bits < (1 << self.size):
             raise ValueError("bit vector does not fit 2^n bits")
 
@@ -118,6 +122,7 @@ class TruthTable:
 
     @classmethod
     def from_hex(cls, text: str, n: int) -> "TruthTable":
+        _check_arity(n)
         digits = max(1, (1 << n) // 4)
         text = text.strip().lower()
         if len(text) != digits:
@@ -284,6 +289,7 @@ class AnfExpression:
     monomials: frozenset[frozenset[int]]
 
     def __post_init__(self):
+        _check_arity(self.n)
         for mono in self.monomials:
             for j in mono:
                 if not 1 <= j <= self.n:

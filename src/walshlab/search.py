@@ -246,6 +246,9 @@ class SearchJob:
             raise ValueError("target must be 'maximize' or 'count'")
         if self.target == "count" and self.threshold is None:
             raise ValueError("count target needs a threshold")
+        thr = self.threshold
+        if thr is not None and (isinstance(thr, bool) or not isinstance(thr, (int, Fraction))):
+            raise ValueError(f"threshold must be an int or a Fraction, got {thr!r}")
         if not 0 <= self.chunk_bits <= 16:
             raise ValueError("chunk_bits must be in [0, 16]")
         if self.witness_cap < 0:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from walshlab.cli import main
+from walshlab.core import N_MAX
 from walshlab.metrics import LogLinear
 from walshlab.report import QUINTIC_MAX_ANF, QUINTIC_SEED_ANF
 
@@ -79,6 +80,13 @@ def test_analyze_parse_error_has_position(capsys):
     assert "position 5" in err
 
 
+@pytest.mark.parametrize("source", [("--tt", "6"), ("--anf", "1")], ids=["tt", "anf"])
+def test_analyze_negative_arity_names_the_bound(capsys, source):
+    code, out, err = run_cli(capsys, "analyze", *source, "--n", "-1")
+    assert code == 2 and out == ""
+    assert f"arity must be in [1, {N_MAX}], got -1" in err
+
+
 def test_spectrum_csv(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--anf", "X1", "--n", "1")
     assert code == 0
@@ -121,6 +129,34 @@ def test_construct_palindrome_materialised(capsys):
     assert doc["n"] == 2
     assert doc["tt"] == "6"  # the two-variable parity
     assert doc["metrics"]["influence"] == "2"
+
+
+# the quintic seed's palindrome documents, pinned byte for byte
+_QUINTIC_PALINDROMES = {
+    0: (
+        '{"schema_version": 2, "n": 6, "tt": "018fb3abd5cdf180", "epsilon_b": "3/8", '
+        '"metrics": {"schema_version": 2, "n": 6, "weight": 32, "balanced": true, '
+        '"resilience_order": 1, "plateaued": true, "plateau_level": 16, "bent": false, '
+        '"entropy": "4", "min_entropy": "4", "influence": "9/4", "max_corr_sq": 256, '
+        '"ei_ratio": "16/9", "mei_ratio": "16/9"}}'
+    ),
+    1: (
+        '{"schema_version": 2, "n": 6, "tt": "fe704c54d5cdf180", "epsilon_b": "5/8", '
+        '"metrics": {"schema_version": 2, "n": 6, "weight": 32, "balanced": true, '
+        '"resilience_order": 0, "plateaued": true, "plateau_level": 16, "bent": false, '
+        '"entropy": "4", "min_entropy": "4", "influence": "5/2", "max_corr_sq": 256, '
+        '"ei_ratio": "8/5", "mei_ratio": "8/5"}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_construct_palindrome_is_pinned(capsys, b):
+    code, out, _ = run_cli(
+        capsys, "construct", "palindrome", "--g", f"anf:{QUINTIC_SEED_ANF}", "--n", "5", "--b", str(b)
+    )
+    assert code == 0
+    assert out == _QUINTIC_PALINDROMES[b] + "\n"
 
 
 def test_construct_unbalanced_rejected(capsys):

@@ -15,6 +15,7 @@ from walshlab.construct import (
     CompositionSpec,
     UnbalancedFunctionError,
     VectorialFunction,
+    _fold,
     compose_vectorial,
     composition_peak,
     disjoint_compose,
@@ -27,8 +28,8 @@ from walshlab.construct import (
     palindromic_extend,
     palindromic_spectrum,
 )
-from walshlab.metrics import classify, entropy, influence_spectral
-from walshlab.report import QUINTIC_SEED_ANF
+from walshlab.metrics import MetricsReport, classify, entropy, influence_spectral
+from walshlab.report import QUINTIC_SEED_ANF, analytic_to_json
 
 from conftest import random_balanced, random_table
 
@@ -168,6 +169,18 @@ def test_disjoint_walsh_matches_brute_force_pointwise(rng):
         assert disjoint_walsh(u, spec, fs, gs) == Fraction(int(brute.corr[u]), 1 << 9)
 
 
+def test_disjoint_walsh_rejects_spectra_of_other_arities():
+    spec = CompositionSpec(TruthTable(2, 0b1000), TruthTable(2, 0b0110))
+    assert disjoint_walsh(3, spec) == Fraction(1, 2)
+    fs, gs = walsh_transform(spec.outer), walsh_transform(spec.inner)
+    assert disjoint_walsh(3, spec, fs, gs) == Fraction(1, 2)
+    wrong_outer = walsh_transform(TruthTable(3, 0x05))  # read as the outer spectrum, it would give c(3) = -1
+    wrong_inner = walsh_transform(TruthTable(3, 0b01100110))
+    for outer, inner in [(wrong_outer, None), (wrong_outer, gs), (None, wrong_inner), (fs, wrong_inner)]:
+        with pytest.raises(ValueError, match="arities"):
+            disjoint_walsh(3, spec, outer, inner)
+
+
 def test_disjoint_min_entropy_parity_is_zero():
     xor2 = table_from_anf("X1 + X2", 2)
     v = disjoint_min_entropy(CompositionSpec(xor2, xor2))
@@ -211,6 +224,51 @@ def test_composition_entropy_rule(rng):
         h_g = entropy(walsh_transform(g))
         inf_f = influence_spectral(walsh_transform(f)).rational
         assert h_fg == h_f + h_g * inf_f
+
+
+# --- composition chains ------------------------------------------------------------
+
+
+def _factor(f: TruthTable):
+    s = walsh_transform(f)
+    rep = classify(s)
+    return s, rep.influence.rational, rep.entropy
+
+
+def _chain_matches_dense(tables: list[TruthTable]) -> MetricsReport:
+    """Fold the chain tables[0] o ... o tables[-1] and check it against its materialised table."""
+    composed = tables[-1]
+    for f in reversed(tables[:-1]):
+        composed = disjoint_compose(CompositionSpec(f, composed))
+    brute = classify(walsh_transform(composed))
+    influence, h, hmin, _ = _fold([_factor(f) for f in tables])
+    assert influence == brute.influence.rational
+    assert h == brute.entropy
+    assert hmin == brute.min_entropy
+    return brute
+
+
+def test_fold_matches_materialised_three_factor_chains(rng):
+    # 12 variables in each order of arities; only the outermost factor may be unbalanced
+    for arities in [(2, 2, 3), (2, 3, 2), (3, 2, 2)] * 12:
+        outer = random_table(rng, arities[0])
+        _chain_matches_dense([outer] + [random_balanced(rng, l) for l in arities[1:]])
+
+
+def test_fold_of_1bd8_over_quintic_seed_gives_8_3():
+    # f's whole spectrum is |c| = 8 on the four weight-2 points 0011, 0101, 1010 and 1100
+    f = TruthTable(4, 0x1BD8)
+    brute = _chain_matches_dense([f, seed5()])
+    assert brute.n == 20 and brute.mei_ratio.rational == Fraction(8, 3)
+
+
+def test_fold_requires_balanced_inner_factors(rng):
+    unbalanced = TruthTable(2, 0b0111)
+    balanced = _factor(random_balanced(rng, 2))
+    assert _fold([_factor(unbalanced), balanced])[0] == classify(walsh_transform(unbalanced)).influence.rational
+    for chain in ([balanced, _factor(unbalanced)], [balanced, _factor(unbalanced), balanced], [_factor(unbalanced)]):
+        with pytest.raises(UnbalancedFunctionError):
+            _fold(chain)
 
 
 # --- iterated self-composition -----------------------------------------------------
@@ -292,11 +350,11 @@ def test_ot_materialised_cross_check(rng):
 
 def test_palindromic_extend_dictator():
     # all of the dictator's spectral mass sits at weight 1
-    g0, pspec = palindromic_extend(table_from_anf("X1", 1), 0)
-    assert g0 == table_from_anf("X1 + X2", 2)
-    assert pspec.epsilon_b.rational == 1
-    _, pspec1 = palindromic_extend(table_from_anf("X1", 1), 1)
-    assert pspec1.epsilon_b.rational == 0
+    x1 = table_from_anf("X1", 1)
+    assert palindromic_extend(x1, 0) == table_from_anf("X1 + X2", 2)
+    assert palindromic_extend(x1, 1) == table_from_anf("X1", 2)
+    assert epsilon_mass(walsh_transform(x1), 0) == 1
+    assert epsilon_mass(walsh_transform(x1), 1) == 0
 
 
 def test_palindromic_banding_rule(rng):
@@ -307,8 +365,7 @@ def test_palindromic_banding_rule(rng):
             g = random_table(rng, n)
             base = walsh_transform(g).corr
             for b in (0, 1):
-                ext, _ = palindromic_extend(g, b)
-                got = walsh_transform(ext).corr
+                got = walsh_transform(palindromic_extend(g, b)).corr
                 factor = 1 + (1 - 2 * ((b + wt_ext) & 1))
                 expected = factor * np.tile(base, 2)
                 assert np.array_equal(got, expected)
@@ -328,27 +385,23 @@ def test_palindromic_min_entropy_and_influence(rng):
             g = random_table(rng, n)
             gs = walsh_transform(g)
             for b in (0, 1):
-                ext, pspec = palindromic_extend(g, b)
-                assert palindromic_extend(g, b, gs) == (ext, pspec)
-                es = walsh_transform(ext)
+                es = walsh_transform(palindromic_extend(g, b))
                 assert es.max_corr_sq == 4 * gs.max_corr_sq
                 lhs = influence_spectral(es).rational
-                assert lhs == influence_spectral(gs).rational + pspec.epsilon_b.rational
+                assert lhs == influence_spectral(gs).rational + epsilon_mass(gs, b)
 
 
 def test_palindromic_resilience_cascade():
     # balanced, plateaued, exactly 0-resilient seed with b=0 gains one level
     g = seed5()
-    ext, _ = palindromic_extend(g, 0)
-    rep = classify(walsh_transform(ext))
+    rep = classify(walsh_transform(palindromic_extend(g, 0)))
     assert rep.resilience_order == 1
     assert rep.plateaued
     # an exactly 1-resilient plateaued function with b=1 reaches exactly level 2
     xor2_in3 = table_from_anf("X1 + X2", 3)
     base = classify(walsh_transform(xor2_in3))
     assert base.resilience_order == 1 and base.plateaued
-    ext1, _ = palindromic_extend(xor2_in3, 1)
-    assert classify(walsh_transform(ext1)).resilience_order == 2
+    assert classify(walsh_transform(palindromic_extend(xor2_in3, 1))).resilience_order == 2
 
 
 def test_seed_epsilon():
@@ -356,6 +409,65 @@ def test_seed_epsilon():
 
 
 # --- 30-variable style construction ---------------------------------------------------
+
+
+# analytic_to_json of the quintic seed's reports, pinned byte for byte
+_QUINTIC_REPORTS = {
+    ("ot", 0): (
+        '{"schema_version": 2, "arity": 5, "influence": "15/8", "entropy": "4", '
+        '"min_entropy": "4", "ei_ratio": "32/15", "mei_ratio": "32/15", '
+        '"provenance": {"influence": "influence-product-rule", '
+        '"entropy": "entropy-composition-rule", '
+        '"min_entropy": "iterated-composition-min-entropy"}, "details": {}}'
+    ),
+    ("ot", 1): (
+        '{"schema_version": 2, "arity": 25, "influence": "225/64", "entropy": "23/2", '
+        '"min_entropy": "8", "ei_ratio": "736/225", "mei_ratio": "512/225", '
+        '"provenance": {"influence": "influence-product-rule", '
+        '"entropy": "entropy-composition-rule", '
+        '"min_entropy": "iterated-composition-min-entropy"}, "details": {}}'
+    ),
+    ("ot", 2): (
+        '{"schema_version": 2, "arity": 125, "influence": "3375/512", "entropy": "409/16", '
+        '"min_entropy": "12", "ei_ratio": "13088/3375", "mei_ratio": "2048/1125", '
+        '"provenance": {"influence": "influence-product-rule", '
+        '"entropy": "entropy-composition-rule", '
+        '"min_entropy": "iterated-composition-min-entropy"}, "details": {}}'
+    ),
+    ("ot", 3): (
+        '{"schema_version": 2, "arity": 625, "influence": "50625/4096", '
+        '"entropy": "6647/128", "min_entropy": "16", "ei_ratio": "212704/50625", '
+        '"mei_ratio": "65536/50625", "provenance": {"influence": "influence-product-rule", '
+        '"entropy": "entropy-composition-rule", '
+        '"min_entropy": "iterated-composition-min-entropy"}, "details": {}}'
+    ),
+    ("gb", 0): (
+        '{"schema_version": 2, "arity": 30, "influence": "135/32", "entropy": "13", '
+        '"min_entropy": "12", "ei_ratio": "416/135", "mei_ratio": "128/45", '
+        '"provenance": {"influence": "influence-product-rule+palindromic-influence", '
+        '"entropy": "entropy-composition-rule", "min_entropy": "composition-min-entropy", '
+        '"closed_form": "resilient-plateaued-closed-form"}, "details": {"epsilon_b": "3/8", '
+        '"min-entropy-weight-class": "2", "min-entropy-witness": "000011", '
+        '"resilience-order": "0", "closed-form-ratio": "128/45", '
+        '"closed-form-agrees": "true"}}'
+    ),
+    ("gb", 1): (
+        '{"schema_version": 2, "arity": 30, "influence": "75/16", "entropy": "14", '
+        '"min_entropy": "8", "ei_ratio": "224/75", "mei_ratio": "128/75", '
+        '"provenance": {"influence": "influence-product-rule+palindromic-influence", '
+        '"entropy": "entropy-composition-rule", "min_entropy": "composition-min-entropy"}, '
+        '"details": {"epsilon_b": "5/8", "min-entropy-weight-class": "1", '
+        '"min-entropy-witness": "000001"}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, param", list(_QUINTIC_REPORTS), ids=lambda v: str(v))
+def test_quintic_reports_are_pinned(kind, param):
+    report = ot_recursion_metrics if kind == "ot" else gb_construction_report
+    assert analytic_to_json(report(seed5(), param)) == _QUINTIC_REPORTS[kind, param]
+
+
 
 
 def test_gb_report_seed():
@@ -382,7 +494,7 @@ def test_gb_small_scale_brute_force():
     for g in balanced_tables(3):
         for b in (0, 1):
             rep = gb_construction_report(g, b)
-            ext, _ = palindromic_extend(g, b)
+            ext = palindromic_extend(g, b)
             brute = classify(walsh_transform(disjoint_compose(CompositionSpec(ext, g))))
             assert rep.arity == 12
             assert rep.influence.rational == brute.influence.rational

@@ -394,6 +394,15 @@ def test_count_achieving_misses_everything():
     assert ct.count_achieving == 0
 
 
+@pytest.mark.parametrize("threshold", [2.0, 0.1, "2", True], ids=repr)
+def test_count_threshold_must_be_exact(threshold):
+    # a float would be counted by its binary64 value and has no exact threshold string
+    with pytest.raises(ValueError):
+        SearchJob("general", 3, "mei", target="count", threshold=threshold)
+    for exact in (2, Fraction(2)):
+        assert SearchJob("general", 3, "mei", target="count", threshold=exact).canonical()["threshold"] == "2/1"
+
+
 def test_ei_count_is_exact():
     balanced = ("balanced",)
     mx = sweep(SearchJob("general", 4, metric="ei", filters=balanced), threads=1)

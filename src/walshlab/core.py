@@ -6,18 +6,22 @@ with variable ``X_j`` carried by index bit j-1 (X_1 is least significant).
 Spectra hold the unnormalised correlations c(a) = 2^n * W_f(a), which are
 exact 64-bit integers for every arity this library supports.
 
-``walsh_transform`` takes one of two exact paths, chosen by arity:
+``walsh_transform`` is a few float GEMMs. The m index bits of a 2^m-point
+axis are split into ceil(m/4) near-equal blocks, the wider ones lowest. The
+lowest block, k bits wide, is one right product ``x.reshape(-1, 2^k) @ H``; a
+higher block at bit offset s is one batched left product
+``H @ x.reshape(-1, 2^k, 2^s)``, where H is the cached 2^k x 2^k
+Sylvester-Hadamard matrix. Every block but the last runs in float32 between
+two alternating buffers. The last frees the spare one and writes the int64
+result a chunk at a time, so a transform peaks at 12 bytes a point.
 
-- Up to ``_GEMM_MAX_N`` variables the spectrum is H_R . X . H_C, two float32
-  matrix products: X is the +-1 signs viewed as an R x C array with
-  C = 2^floor(n/2), and H_R, H_C are Sylvester-Hadamard matrices. Every
-  partial sum of either product is an integer with |.| <= 2^n <= 2^15, and
-  float32 holds every integer up to 2^24, so the products are exact in any
-  summation order. The result is cast to int64 once.
-- Above it, the in-place butterfly of ``fwht_inplace`` runs in int32: every
-  partial sum is bounded by |c| <= 2^n <= 2^28, and the doubled operand of a
-  butterfly step by 2^29, both below 2^31 at ``N_MAX``. The result is
-  widened to int64 once, when it is stored in ``Spectrum.corr``.
+Every input entry is -1, 0 or 1, so after the blocks below bit s each entry is
+a partial Walsh sum of 2^s of them, and every sum in a block's product is an
+integer of size at most 2^(s+k). float32 holds every integer up to 2^24 and
+float64 up to 2^53. The last block is the narrowest, so for every m <= N_MAX
+the blocks before it cover at most 24 bits; the last one sums in float32 up
+to m = 24 (the default dense cap) and in float64 above. Every product is
+therefore exact in any summation order.
 """
 from __future__ import annotations
 
@@ -27,13 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Hard arity limit: the int32 butterfly never exceeds 2^29, and correlations
-# and their squares fit in int64.
+# Hard arity limit: correlations and their squares fit in int64.
 N_MAX = 28
 DEFAULT_DENSE_CAP = 24
-# Largest arity transformed by two GEMMs; from n=16 up the butterfly is as
-# fast or faster on one BLAS thread (measured crossover table in CHANGES.md).
-_GEMM_MAX_N = 15
+# Largest transform exponent whose last block sums in float32, which holds every
+# integer up to 2^24; longer transforms sum their last block in float64.
+_F32_MAX_N = 24
+# Points in one chunk of the last block's product, bounding its float temporaries
+_CHUNK = 1 << 14
 
 _dense_cap = DEFAULT_DENSE_CAP
 
@@ -184,21 +189,6 @@ class Spectrum:
         return sum(c * c for c in self.corr.tolist()) == 4**self.n
 
 
-def _butterfly_rows(m: np.ndarray) -> None:
-    """Butterfly levels over axis -2 of ``m`` (..., R, C), each step on whole rows."""
-    lead = m.shape[:-2]
-    rows, cols = m.shape[-2:]
-    h = 1
-    while h < rows:
-        v = m.reshape(lead + (-1, 2, h * cols))
-        top = v[..., 0, :]
-        bot = v[..., 1, :]
-        top += bot  # top' = x + y
-        bot *= -2
-        bot += top  # x + y - 2y = x - y
-        h *= 2
-
-
 def _transform_bits(size: int) -> int:
     """m for a transform axis of length 2^m; ValueError naming any other length."""
     if size < 1 or size & (size - 1):
@@ -206,57 +196,64 @@ def _transform_bits(size: int) -> int:
     return size.bit_length() - 1
 
 
-def fwht_inplace(a: np.ndarray) -> np.ndarray:
-    """In-place integer Walsh-Hadamard butterfly along the last axis.
-
-    Any leading axes are independent transforms; the dtype must hold 2^m
-    times the largest input for a last axis of 2^m. The axis is viewed as
-    R x C with R*C = 2^m: the high index bits are transformed with
-    whole-row operations, the array is transposed once into a scratch copy,
-    the low bits are transformed there, again on whole rows, and the result
-    is copied back. Applying it twice multiplies the input by its length.
-    """
-    size = a.shape[-1]
-    cols = 1 << (_transform_bits(size) // 2)
-    m = a.reshape(a.shape[:-1] + (size // cols, cols))
-    _butterfly_rows(m)
-    t = np.ascontiguousarray(m.swapaxes(-1, -2))
-    _butterfly_rows(t)
-    m[...] = t.swapaxes(-1, -2)
-    return m.reshape(a.shape)
-
-
 @functools.cache
-def _hadamard(k: int) -> np.ndarray:
-    """The 2^k x 2^k Sylvester-Hadamard matrix (-1)^<i,j>, float32 and read-only."""
+def _hadamard(k: int, dtype: type) -> np.ndarray:
+    """The 2^k x 2^k Sylvester-Hadamard matrix (-1)^<i,j> in ``dtype``, read-only."""
     i = np.arange(1 << k)
-    h = np.where(np.bitwise_count(i[:, None] & i) & 1, -1, 1).astype(np.float32)
+    h = np.where(np.bitwise_count(i[:, None] & i) & 1, -1, 1).astype(dtype)
     h.flags.writeable = False  # shared by every later transform
     return h
 
 
-def _walsh_spectra(signs: np.ndarray) -> np.ndarray:
-    """Exact int64 Walsh spectra of the +-1 ``signs`` along the last axis.
+@functools.cache
+def _block_widths(m: int) -> tuple[int, ...]:
+    """ceil(m/4) near-equal widths that sum to m, at most 4 bits each, wider ones first."""
+    q = max(1, -(-m // 4))
+    return tuple(m // q + (i < m % q) for i in range(q))
 
-    Leading axes are independent transforms. A last axis of 2^m points with
-    m <= ``_GEMM_MAX_N`` is viewed as R x C, C = 2^floor(m/2), with the high
-    index bits on the rows, and transformed as H_R . X . H_C in float32.
-    Longer axes go through the int32 butterfly, which overwrites ``signs``.
+
+def _walsh_spectra(signs: np.ndarray) -> np.ndarray:
+    """Exact int64 Walsh spectra along the last axis of ``signs``, which is not written.
+
+    Entries must be -1, 0 or 1 (the +-1 signs of functions, or 0/1
+    indicators). Leading axes are independent transforms. The blocks, their
+    products and the exactness bound are in the module docstring.
     """
     m = _transform_bits(signs.shape[-1])
-    if m > _GEMM_MAX_N:
-        return fwht_inplace(signs).astype(np.int64)
-    c = m // 2
-    x = signs.astype(np.float32).reshape(signs.shape[:-1] + (1 << (m - c), 1 << c))
-    # reshaping before the cast leaves the int64 result owning its memory, so a
-    # read-only Spectrum.corr has no writeable base
-    return (_hadamard(m - c) @ x @ _hadamard(c)).reshape(signs.shape).astype(np.int64)
+    return _spectra_of(np.array(signs, dtype=np.float32, order="C"), m)
+
+
+def _spectra_of(x: np.ndarray, m: int) -> np.ndarray:
+    """Spectra of the C-contiguous float32 operand ``x``, which is used as a work buffer."""
+    shape = x.shape
+    *widths, k = _block_widths(m)
+    y, s = None, 0
+    for w in widths:
+        h = _hadamard(w, np.float32)
+        if s:
+            np.matmul(h, x.reshape(-1, 1 << w, 1 << s), out=y.reshape(-1, 1 << w, 1 << s))
+            x, y = y, x
+        else:  # the operand becomes the spare buffer
+            x, y = x.reshape(-1, 1 << w) @ h, x
+        s += w
+    del y  # the spare buffer goes before the int64 result is made
+    h = _hadamard(k, np.float32 if m <= _F32_MAX_N else np.float64)
+    out = np.empty(shape, dtype=np.int64)
+    if not s:
+        out.reshape(-1, 1 << k)[...] = x.reshape(-1, 1 << k) @ h
+        return out
+    src, dst = x.reshape(-1, 1 << k, 1 << s), out.reshape(-1, 1 << k, 1 << s)
+    step = max(1, _CHUNK // len(src) >> k)
+    for j in range(0, 1 << s, step):
+        dst[..., j : j + step] = h @ src[..., j : j + step]
+    return out
 
 
 def walsh_transform(f: TruthTable) -> Spectrum:
-    """Exact integer Walsh spectrum of f: two Hadamard GEMMs or the O(n*2^n) butterfly."""
+    """Exact integer Walsh spectrum of f by the blocked Hadamard GEMMs."""
     check_dense(f.n)
-    return Spectrum(f.n, _walsh_spectra(f.signs()))
+    # the +-1 operand is built in float32 and handed over as a work buffer
+    return Spectrum(f.n, _spectra_of(1 - 2 * f.bit_array().astype(np.float32), f.n))
 
 
 def reverse(f: TruthTable) -> TruthTable:
@@ -340,6 +337,7 @@ def parse_anf(text: str, n: int) -> AnfExpression:
 
 def from_anf(expr: AnfExpression) -> TruthTable:
     """Materialise the truth table of an ANF via the subset-XOR transform."""
+    check_dense(expr.n)
     size = 1 << expr.n
     coeff = np.zeros(size, dtype=np.uint8)
     for mono in expr.monomials:

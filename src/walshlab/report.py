@@ -329,8 +329,8 @@ def _tables(seed: int, count: int) -> Iterator[list[TruthTable]]:
 def _spectra(tables: list[TruthTable]) -> list[Spectrum]:
     """The Walsh spectra of functions of one arity, from one batched transform.
 
-    Even the GEMM path costs about 10 us a call at n <= 10, mostly dispatch
-    and casts, which one call over the stacked tables pays once.
+    A transform costs a few microseconds a call at n <= 10, mostly GEMM
+    dispatch and casts, which one call over the stacked tables pays once.
     """
     corr = _walsh_spectra(np.array([t.signs() for t in tables]))
     return [Spectrum(t.n, row) for t, row in zip(tables, corr)]

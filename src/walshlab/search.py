@@ -65,7 +65,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import TruthTable, fwht_inplace, popcounts
+from .core import TruthTable, _walsh_spectra, popcounts
 from .metrics import LogLinear, entropy_of_levels
 
 FAMILIES = ("general", "symmetric", "rotsym")
@@ -564,7 +564,7 @@ def _kernel(family: str, n: int) -> _Kernel:
     if family == "general":
         h = 1 << (n - 1)
         points = np.arange(h, dtype=np.int64)
-        T = fwht_inplace(1 - 2 * ((np.arange(1 << h, dtype=np.int64)[:, None] >> points) & 1))
+        T = _walsh_spectra(1 - 2 * ((np.arange(1 << h, dtype=np.int64)[:, None] >> points) & 1))
         # |c| <= 2^n <= 32, so c^2 <= 1024 and the influence numerator n * 4^n fit in
         # int32, which halves the memory traffic of every batch
         T, wt = T.astype(np.int32), wt.astype(np.int32)
@@ -580,7 +580,7 @@ def _kernel(family: str, n: int) -> _Kernel:
     else:
         reps, orbit = necklaces(n)
     reps = np.asarray(reps, dtype=np.int64)
-    indicators = (orbit[None, :] == np.arange(reps.size)[:, None]).astype(np.int64)
+    indicators = orbit[None, :] == np.arange(reps.size)[:, None]
     # Input maps: variable i -> k*i mod n for k coprime to n (these take rotations
     # to rotations; every k fixes the weight classes, so symmetric functions take
     # k = 1 only), each with and without input complement. Function id bit o
@@ -591,7 +591,7 @@ def _kernel(family: str, n: int) -> _Kernel:
     perms = np.array([orbit[x ^ c] for x in moved for c in (0, (1 << n) - 1)])
     orbits = _id_orbits(np.repeat(perms, 2, axis=0), np.tile([False, True], perms.shape[0]))
     sizes = np.bincount(orbit, minlength=reps.size)
-    return _Kernel(sizes, wt[reps], orbits, M=fwht_inplace(indicators)[:, reps])
+    return _Kernel(sizes, wt[reps], orbits, M=_walsh_spectra(indicators)[:, reps])
 
 
 def _entropy_rows(c2: np.ndarray, n: int, sizes: np.ndarray) -> np.ndarray:

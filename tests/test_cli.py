@@ -87,6 +87,15 @@ def test_analyze_negative_arity_names_the_bound(capsys, source):
     assert f"arity must be in [1, {N_MAX}], got -1" in err
 
 
+def test_analyze_anf_above_dense_cap(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--anf", "X1", "--n", "25")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: arity 25 exceeds the dense transform cap 24; "
+        "raise it with set_dense_cap (max 28) or use the analytic paths\n"
+    )
+
+
 def test_spectrum_csv(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--anf", "X1", "--n", "1")
     assert code == 0

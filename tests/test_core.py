@@ -3,12 +3,12 @@ import pytest
 
 from walshlab import core
 from walshlab.core import (
+    N_MAX,
     AnfParseError,
     DenseCapExceeded,
     Spectrum,
     TruthTable,
     dense_cap,
-    fwht_inplace,
     parse_anf,
     popcounts,
     reverse,
@@ -18,7 +18,7 @@ from walshlab.core import (
 )
 from walshlab.report import QUINTIC_MAX_ANF
 
-from conftest import random_table
+from conftest import random_table, reference_butterfly
 
 
 def slow_walsh(f: TruthTable) -> list[int]:
@@ -30,20 +30,6 @@ def slow_walsh(f: TruthTable) -> list[int]:
         parity = np.bitwise_count(x & a).astype(np.int64) & 1
         out.append(int(signs @ (1 - 2 * parity)))
     return out
-
-
-def reference_butterfly(a: np.ndarray) -> np.ndarray:
-    """Radix-2 butterfly in int64, one strided pass per level, on a copy of the last axis."""
-    a = a.astype(np.int64)
-    size = a.shape[-1]
-    h = 1
-    while h < size:
-        v = a.reshape(a.shape[:-1] + (-1, 2, h))
-        x, y = v[..., 0, :].copy(), v[..., 1, :].copy()
-        v[..., 0, :] = x + y
-        v[..., 1, :] = x - y
-        h *= 2
-    return a
 
 
 # --- truth tables ---------------------------------------------------------------
@@ -197,13 +183,15 @@ def test_gemm_all_small_tables_batched():
     for n in range(1, 5):
         ids = np.arange(1 << (1 << n), dtype=np.int64)
         signs = (1 - 2 * ((ids[:, None] >> np.arange(1 << n)) & 1)).astype(np.int32)
-        got = core._walsh_spectra(signs.copy())
+        got = core._walsh_spectra(signs)
         assert got.dtype == np.int64
         assert np.array_equal(got, reference_butterfly(signs))
 
 
 def test_walsh_largest_values_on_both_paths():
-    for n in range(1, core._GEMM_MAX_N + 2):
+    # one to five blocks (n = 1..17), and n = 24, the last arity whose final block
+    # sums in float32
+    for n in [*range(1, 18), 20, 24]:
         # the constant and parity tables reach |c| = 2^n, the largest correlation
         parity = TruthTable.from_array(popcounts(1 << n) & 1, n)
         for t, at in ((TruthTable(n, 0), 0), (parity, (1 << n) - 1)):
@@ -218,32 +206,57 @@ def test_walsh_largest_values_on_both_paths():
         assert np.array_equal(walsh_transform(TruthTable(n, 1 << ((1 << n) - 1))).corr, want), n
 
 
-@pytest.mark.parametrize("n", [core._GEMM_MAX_N, core._GEMM_MAX_N + 1])
-def test_walsh_either_side_of_gemm_threshold(rng, monkeypatch, n):
-    calls = []
+def test_walsh_spectra_float64_above_24():
+    n = 25
+    parity = (np.bitwise_count(np.arange(1 << n, dtype=np.uint32)) & 1).astype(np.int8)
+    # one point: c(0) = 2^n - 2 and c(a) = 4 * (wt(a) mod 2) - 2 elsewhere
+    signs = np.ones(1 << n, dtype=np.int8)
+    signs[-1] = -1
+    got = core._walsh_spectra(signs)
+    assert got[0] == (1 << n) - 2
+    assert np.array_equal(got[1:], 4 * parity[1:] - 2)
+    del got
+    # float32 holds 2^n - 2 but no odd value above 2^24: the indicator of the first
+    # 2^(n-1) + 1 points has c(a) = 2^(n-1) [a below bit n-1 is 0] + (-1)^(bit n-1 of a)
+    ones = np.zeros(1 << n, dtype=np.int8)
+    ones[: (1 << (n - 1)) + 1] = 1
+    got = core._walsh_spectra(ones).reshape(2, -1)
+    assert got[:, 0].tolist() == [(1 << (n - 1)) + 1, (1 << (n - 1)) - 1]
+    assert (got[0, 1:] == 1).all() and (got[1, 1:] == -1).all()
 
-    def spy(a):
-        calls.append(a.shape)
-        return fwht_inplace(a)
 
-    monkeypatch.setattr(core, "fwht_inplace", spy)
-    t = random_table(rng, n)
-    assert np.array_equal(walsh_transform(t).corr, reference_butterfly(t.signs()))
-    assert calls == ([] if n <= core._GEMM_MAX_N else [(1 << n,)])
+def test_block_widths_keep_float32_exact_before_the_last_block():
+    for m in range(N_MAX + 1):
+        widths = core._block_widths(m)
+        assert sum(widths) == m and max(widths) <= 4
+        # the sums before the last block stay within 2^24, which float32 holds
+        assert m - widths[-1] <= core._F32_MAX_N
+
+
+@pytest.mark.parametrize("m", [1, 5, 9, 15, 16, 17, 21])
+def test_walsh_spectra_leaves_input_unchanged(rng, m):
+    # one to six blocks, so the last one reads either work buffer; float32 is the work dtype
+    keep = random_table(rng, m).signs()
+    for dtype in (np.int32, np.float32):
+        signs = keep.astype(dtype)
+        signs.flags.writeable = False
+        assert np.array_equal(core._walsh_spectra(signs), reference_butterfly(keep))
+        assert np.array_equal(signs, keep)
 
 
 def test_hadamard_factors_are_read_only():
-    for k in range(core._GEMM_MAX_N // 2 + 2):
-        h = core._hadamard(k)
-        assert not h.flags.writeable
-        with pytest.raises(ValueError):
-            h[0, 0] = 5
-        assert np.array_equal(h @ h, np.eye(1 << k) * (1 << k))
+    for k in range(5):
+        for dtype in (np.float32, np.float64):
+            h = core._hadamard(k, dtype)
+            assert h.dtype == dtype and not h.flags.writeable
+            with pytest.raises(ValueError):
+                h[0, 0] = 5
+            assert np.array_equal(h @ h, np.eye(1 << k) * (1 << k))
     t = table_from_anf("X1X2 + X3X4X5 + X6", 6)
     assert np.array_equal(walsh_transform(t).corr, reference_butterfly(t.signs()))
 
 
-@pytest.mark.parametrize("transform", [fwht_inplace, core._walsh_spectra])
+@pytest.mark.parametrize("transform", [core._walsh_spectra])
 @pytest.mark.parametrize("size", [0, 3, 6, 12])
 def test_transform_length_must_be_power_of_two(transform, size):
     with pytest.raises(ValueError, match=f"transform length {size} is not a power of two"):
@@ -273,29 +286,30 @@ def test_parseval_does_not_wrap():
 
 
 def test_butterfly_involution(rng):
-    for n in (1, 3, 6):
-        t = random_table(rng, n)
-        signs = t.signs().astype(np.int64)
-        twice = fwht_inplace(fwht_inplace(signs.copy()))
-        assert np.array_equal(twice, signs * t.size)
+    # the second pass reads |c| <= 2^n, exact while its sums, up to 4^n, stay within 2^24
+    for n in (1, 3, 6, 12):
+        signs = random_table(rng, n).signs()
+        twice = core._walsh_spectra(core._walsh_spectra(signs))
+        assert np.array_equal(twice, signs * (1 << n))
 
 
 def test_butterfly_batched_int64(rng):
-    # leading axes and int64 input, as the search table builders use it
-    for n in (1, 2, 5, 7):
-        batch = np.array(
-            [[random_table(rng, n).signs() for _ in range(3)] for _ in range(2)], dtype=np.int64
-        )
-        a = batch.copy()
-        once = fwht_inplace(a)
+    # leading axes and int64 input, as the search table builders use it, at every
+    # length up to 22 bits: blocks of 1 to 4 bits in every order the split makes
+    for n in range(1, 23):
+        rows = 6 if n <= 16 else 2
+        tables = [random_table(rng, n).signs() for _ in range(rows)]
+        batch = np.array(tables, dtype=np.int64).reshape(2, rows // 2, 1 << n)
+        keep = batch.copy()
+        once = core._walsh_spectra(batch)
         assert once.dtype == np.int64 and once.shape == batch.shape
-        assert np.shares_memory(once, a)
-        assert np.array_equal(once, reference_butterfly(batch))
-        assert np.array_equal(fwht_inplace(once), batch * (1 << n))
+        assert not np.shares_memory(once, batch)
+        assert np.array_equal(once, reference_butterfly(batch)), n
+        assert np.array_equal(batch, keep)
 
 
 def test_spectrum_is_immutable():
-    for n in (2, core._GEMM_MAX_N + 1):
+    for n in (2, 5, 9, 16):
         s = walsh_transform(TruthTable(n, 0b0110))
         with pytest.raises(ValueError):
             s.corr[0] = 1
@@ -314,6 +328,13 @@ def test_dense_cap_error():
         set_dense_cap(old)
     with pytest.raises(ValueError):
         set_dense_cap(0)
+
+
+def test_from_anf_checks_the_dense_cap_first():
+    # before the 2^n coefficient array is filled
+    with pytest.raises(DenseCapExceeded) as err:
+        table_from_anf("X1", dense_cap() + 1)
+    assert err.value.n == dense_cap() + 1
 
 
 # --- reversal --------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from walshlab import core, report
+from walshlab import report
 from walshlab.core import Spectrum, TruthTable, table_from_anf, walsh_transform
 from walshlab.construct import gb_construction_report, ot_recursion_metrics
 from walshlab.metrics import LogLinear, classify
@@ -250,8 +250,8 @@ FAST_SUBSET = [
 
 
 def test_batched_spectra_equal_walsh_transform(rng):
-    # c14-c17 transform their tables through _spectra; one arity above the GEMM path too
-    for n in [*range(1, 11), core._GEMM_MAX_N + 1]:
+    # c14-c17 transform their tables through _spectra; 16 is the first arity of four blocks
+    for n in [*range(1, 11), 16]:
         tables = [random_table(rng, n) for _ in range(4)]
         for t, s in zip(tables, report._spectra(tables)):
             assert s.n == n

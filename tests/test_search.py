@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from walshlab.construct import ot_recursion_metrics
-from walshlab.core import TruthTable, fwht_inplace, popcounts, walsh_transform
+from walshlab.core import TruthTable, popcounts, walsh_transform
 from walshlab.metrics import LogLinear, classify
 from walshlab.report import run_verification_suite, search_result_canonical
 from walshlab.search import (
@@ -30,6 +30,8 @@ from walshlab.search import (
     sweep_rotsym,
     sweep_symmetric,
 )
+
+from conftest import reference_butterfly
 
 
 def naive_best(n: int, metric: str, filters=()):
@@ -457,9 +459,9 @@ def test_ot1_metric_count():
 
 
 def dense_mei_achievers(n: int, balanced: bool):
-    """Exact maximum and every achiever of mei over all n-variable functions, by dense FWHT."""
+    """Exact maximum and every achiever of mei over all n-variable functions, by the reference butterfly."""
     ids = np.arange(1 << (1 << n), dtype=np.int64)
-    corr = fwht_inplace(1 - 2 * ((ids[:, None] >> np.arange(1 << n)) & 1))
+    corr = reference_butterfly(1 - 2 * ((ids[:, None] >> np.arange(1 << n)) & 1))
     c2 = corr * corr
     m, inf = c2.max(axis=1), c2 @ popcounts(1 << n)
     keep = (inf > 0) & ((corr[:, 0] == 0) if balanced else True)

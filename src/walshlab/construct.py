@@ -269,8 +269,16 @@ def palindromic_spectrum(s: Spectrum, b: int) -> Spectrum:
         raise ValueError("b must be 0 or 1")
     n = s.n + 1
     check_dense(n)
-    top = (popcounts(s.size) + b) & 1  # the t at which c_gb(a + t * 2^n) is nonzero
-    return Spectrum(n, 2 * np.concatenate([s.corr * (1 - top), s.corr * top]))
+    # On the R x C view of the points, (-1)^(b + wt(a)) = row sign * column sign.
+    # With z = c * that sign, the t = 0 half is c + z and the t = 1 half c - z.
+    rows, cols = 1 << (s.n - s.n // 2), 1 << (s.n // 2)
+    c = s.corr.reshape(rows, cols)
+    out = np.empty((2, rows, cols), dtype=np.int64)
+    np.multiply(c, 1 - 2 * (popcounts(cols) & 1), out=out[1])
+    out[1] *= (1 - 2 * ((popcounts(rows) + b) & 1))[:, None]
+    np.add(c, out[1], out=out[0])
+    np.subtract(c, out[1], out=out[1])
+    return Spectrum(n, out.reshape(-1))
 
 
 def _fold(

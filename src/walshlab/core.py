@@ -182,7 +182,8 @@ class Spectrum:
 
     @property
     def max_corr_sq(self) -> int:
-        return int(np.abs(self.corr).max()) ** 2
+        # no full-size |c| temporary, and -int(min) is exact for INT64_MIN too
+        return max(int(self.corr.max()), -int(self.corr.min())) ** 2
 
     def parseval_holds(self) -> bool:
         # Python ints: an int64 dot product wraps once some |c| reaches 2^32
@@ -249,11 +250,26 @@ def _spectra_of(x: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _float_signs(f: TruthTable) -> np.ndarray:
+    """(-1)^f as a new float32 array: the signs are formed in the uint8 outputs, then cast once."""
+    x = f.bit_array().view(np.int8)
+    x *= -2
+    x += 1
+    return x.astype(np.float32)
+
+
 def walsh_transform(f: TruthTable) -> Spectrum:
-    """Exact integer Walsh spectrum of f by the blocked Hadamard GEMMs."""
+    """Exact integer Walsh spectrum of f by the blocked Hadamard GEMMs.
+
+    The float32 +-1 operand is made by one float32 allocation, inside a helper
+    call, and handed straight to ``_spectra_of``. That uses it as a work
+    buffer and frees its spare buffer, often the operand, before it makes the
+    int64 result. So no frame here may keep a reference to the operand: one
+    would keep its 4 bytes a point alive and raise the transform's peak from
+    12 to 16 bytes a point.
+    """
     check_dense(f.n)
-    # the +-1 operand is built in float32 and handed over as a work buffer
-    return Spectrum(f.n, _spectra_of(1 - 2 * f.bit_array().astype(np.float32), f.n))
+    return Spectrum(f.n, _spectra_of(_float_signs(f), f.n))
 
 
 def reverse(f: TruthTable) -> TruthTable:

@@ -13,8 +13,20 @@ equal fields, and ``compare`` orders unequal values exactly. ``value`` is the
 correctly rounded binary64 value, computed on first use. ``as_str`` writes
 the exact value and ``LogLinear.parse`` reads it back.
 
-Every metric reads one histogram of |c| (``_profile``), which also checks
-the Parseval identity.
+Every metric reads one pass over the spectrum (``_scan``). It reads blocks
+of ``core._CHUNK`` points (the whole spectrum up to n = 14) through one
+reused int64 buffer: |c| and its range check, the levels, c^2 weighted by
+the point's weight for the influence, and, when c(0) = 0, the least weight
+of a nonzero point. A block starts at a multiple of its power-of-two length,
+so a point's weight is the block start's plus its offset's, and one cached
+table of offset weights serves every block. Levels below 2^(ceil(n/2) + 4)
+or up to ``core._CHUNK`` (so every level of a one-block spectrum) go in a
+``bincount`` histogram. The rest, at most 4^n / 2^(2*ceil(n/2) + 8) <= 2^(n-8)
+points by Parseval, are kept exactly and counted with ``np.unique``; the
+pass stops early once they alone are too many for Parseval. So besides its
+result it holds one block buffer, the histogram and those few points,
+whatever the function. Parseval is then checked exactly over both kinds of
+level, in Python integers.
 """
 from __future__ import annotations
 
@@ -28,7 +40,7 @@ from typing import Iterable
 import numpy as np
 from mpmath.libmp import from_int, mpf_log, round_ceiling, round_floor
 
-from .core import Spectrum, TruthTable, popcounts
+from .core import _CHUNK, Spectrum, TruthTable, popcounts
 
 
 class SpectrumError(ValueError):
@@ -257,14 +269,28 @@ class MetricsReport:
     mei_ratio: LogLinear | None
 
 
+@functools.cache
+def _weights(size: int) -> np.ndarray:
+    """Read-only popcounts of 0..size-1: the weights of the offsets within a scan block."""
+    w = popcounts(size)
+    w.flags.writeable = False  # shared by every later scan
+    return w
+
+
 @dataclass(frozen=True)
-class _Profile:
-    """Distinct nonzero levels of |c| with their point counts, of a checked spectrum."""
+class _Scan:
+    """What one pass over a checked spectrum finds, which every metric reads."""
 
     n: int
-    levels: list[int]  # ascending
+    levels: list[int]  # the distinct nonzero |c|, ascending
     counts: list[int]
     support: int
+    weighted: int  # sum of wt(a) * c(a)^2
+    resilience_order: int
+
+    @property
+    def influence(self) -> LogLinear:
+        return LogLinear.of(self.weighted, {}, 4**self.n)
 
     @property
     def plateaued(self) -> bool:
@@ -275,44 +301,65 @@ class _Profile:
         return self.levels[-1] ** 2
 
 
-def _profile(s: Spectrum) -> _Profile:
-    """Histogram of |c| from one bincount; raises SpectrumError on a corrupt spectrum."""
-    a = np.abs(s.corr)
-    # As uint64, |INT64_MIN| (which stays negative) is also out of range.
-    top = int(a.view(np.uint64).max())
-    if top > s.size:
-        raise SpectrumError(f"|c| reaches {top}, above 2^n = {s.size}; Parseval cannot hold")
-    hist = np.bincount(a)
+def _scan(s: Spectrum) -> _Scan:
+    """Every metric's inputs from one pass over s.corr; raises SpectrumError on a corrupt spectrum.
+
+    The module docstring gives the blocks, the level split and the checks.
+    """
+    n, size = s.n, s.size
+    step = min(size, _CHUNK)
+    w = _weights(step)
+    buf = np.empty(step, dtype=np.int64)
+    # Levels below this go in ``hist``: those up to _CHUNK (all of a one-block
+    # spectrum's) or below 2^(ceil(n/2) + 4). At most 4^n / dense^2 points are above.
+    dense = max(1 << ((n + 1) // 2 + 4), _CHUNK + 1)
+    hist = np.zeros(0, dtype=np.int64)
+    high: list[np.ndarray] = []
+    n_high = weighted = 0
+    least = n + 1 if s.corr[0] == 0 else 0  # least weight of a nonzero point, when c(0) = 0
+    for start in range(0, size, step):
+        a = np.abs(s.corr[start : start + step], out=buf)
+        # As uint64, |INT64_MIN| (which stays negative) is also out of range.
+        top = int(a.view(np.uint64).max())
+        if top > size:
+            raise SpectrumError(f"|c| reaches {top}, above 2^n = {size}; Parseval cannot hold")
+        if top < dense:
+            h = np.bincount(a)
+        else:
+            big = a >= dense
+            high.append(a[big])
+            n_high += high[-1].size
+            if n_high * dense * dense > 4**n:
+                raise SpectrumError(f"correlation squares sum to more than {4**n}")
+            h = np.bincount(a[~big])
+        if hist.size < h.size:
+            hist, h = h, hist
+        hist[: h.size] += h
+        # start is a multiple of the power-of-two step, so wt(start + i) = wt(start) + wt(i)
+        base = start.bit_count()
+        if base < least:
+            least = min(least, base + int(w[a != 0].min(initial=least)))
+        np.multiply(a, a, out=a)
+        # with Parseval no sum of c^2 wraps: they are at most 4^n <= 2^56
+        weighted += base * int(a.sum()) + int(w @ a)
     levels = np.flatnonzero(hist[1:]) + 1
     counts = hist[levels].tolist()
     levels = levels.tolist()
+    if high:
+        v, k = np.unique(np.concatenate(high), return_counts=True)
+        levels += v.tolist()
+        counts += k.tolist()
     odd = [v for v in levels if v & 1]
     if odd:
         raise SpectrumError(f"|c| = {odd[0]} is odd; correlations of functions with n >= 1 are even")
     total = sum(k * v * v for k, v in zip(counts, levels))
-    if total != 4**s.n:
-        raise SpectrumError(f"correlation squares sum to {total}, expected {4**s.n}")
-    return _Profile(s.n, levels, counts, s.size - int(hist[0]))
+    if total != 4**n:
+        raise SpectrumError(f"correlation squares sum to {total}, expected {4**n}")
+    return _Scan(n, levels, counts, size - int(hist[0]), weighted, least - 1)
 
 
-def _min_entropy(p: _Profile) -> LogLinear:
+def _min_entropy(p: _Scan) -> LogLinear:
     return LogLinear.log2(Fraction(4**p.n, p.max_corr_sq))
-
-
-def _influence(s: Spectrum) -> LogLinear:
-    # weight(r*C + c) = weight(r) + weight(c) on the R x C view of the points
-    cols = 1 << (s.n // 2)
-    m = s.corr.reshape(-1, cols)
-    rows = np.einsum("rc,rc->r", m, m)
-    col_sums = np.einsum("rc,rc->c", m, m)
-    total = int(popcounts(m.shape[0]) @ rows + col_sums @ popcounts(cols))
-    return LogLinear.of(total, {}, 4**s.n)
-
-
-def _resilience(s: Spectrum) -> int:
-    if s.corr[0] != 0:
-        return -1
-    return int(np.bitwise_count(np.flatnonzero(s.corr)).min()) - 1
 
 
 def entropy(s: Spectrum) -> LogLinear:
@@ -320,19 +367,18 @@ def entropy(s: Spectrum) -> LogLinear:
 
     Rational exactly when every nonzero |c| is a power of two.
     """
-    p = _profile(s)
+    p = _scan(s)
     return entropy_of_levels(p.n, p.levels, p.counts)
 
 
 def min_entropy(s: Spectrum) -> LogLinear:
     """-log2 of the largest squared normalised Walsh value."""
-    return _min_entropy(_profile(s))
+    return _min_entropy(_scan(s))
 
 
 def influence_spectral(s: Spectrum) -> LogLinear:
     """Total influence from the weight-weighted squared spectrum; always exact."""
-    _profile(s)
-    return _influence(s)
+    return _scan(s).influence
 
 
 def influence_probe(f: TruthTable) -> LogLinear:
@@ -347,22 +393,21 @@ def influence_probe(f: TruthTable) -> LogLinear:
 
 def resilience_order(s: Spectrum) -> int:
     """Largest t with a zero spectrum on all points of weight <= t; -1 if unbalanced."""
-    _profile(s)
-    return _resilience(s)
+    return _scan(s).resilience_order
 
 
 def classify(s: Spectrum) -> MetricsReport:
     """All metrics, classification flags, and both conjecture ratios."""
-    p = _profile(s)
+    p = _scan(s)
     corr0 = int(s.corr[0])
     h = entropy_of_levels(p.n, p.levels, p.counts)
     hmin = _min_entropy(p)
-    inf = _influence(s)
+    inf = p.influence
     return MetricsReport(
         n=s.n,
         weight=(s.size - corr0) // 2,
         balanced=corr0 == 0,
-        resilience_order=_resilience(s),
+        resilience_order=p.resilience_order,
         plateaued=p.plateaued,
         plateau_level=p.levels[0] if p.plateaued else None,
         bent=p.plateaued and p.support == s.size,

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,3 +37,19 @@ def reference_butterfly(a: np.ndarray) -> np.ndarray:
         v[..., 1, :] = x - y
         h *= 2
     return a
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes tracemalloc sees during fn(*args), above what was live before the call.
+
+    NumPy reports its data buffers to tracemalloc, so this counts array
+    temporaries and the result, but nothing allocated before the call.
+    """
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

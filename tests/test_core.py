@@ -18,7 +18,7 @@ from walshlab.core import (
 )
 from walshlab.report import QUINTIC_MAX_ANF
 
-from conftest import random_table, reference_butterfly
+from conftest import random_table, reference_butterfly, traced_peak
 
 
 def slow_walsh(f: TruthTable) -> list[int]:
@@ -283,6 +283,21 @@ def test_parseval_random(rng):
 def test_parseval_does_not_wrap():
     # 2^64 + 16 wraps to 16 = 4^2 in an int64 dot product
     assert not Spectrum(2, np.array([2**32, 0, 0, 4])).parseval_holds()
+
+
+def test_max_corr_sq_reads_both_signs():
+    assert Spectrum(2, np.array([2, -4, 0, 0])).max_corr_sq == 16
+    assert Spectrum(2, np.array([4, -2, 0, 0])).max_corr_sq == 16
+    # |INT64_MIN| does not fit int64; the peak is still its exact square
+    assert Spectrum(2, np.array([np.iinfo(np.int64).min, 0, 0, 0])).max_corr_sq == 4**63
+
+
+@pytest.mark.parametrize("n", [20, 21])
+def test_walsh_transform_peak_memory(rng, n):
+    # 8 bytes a point of result plus one float32 buffer. At n = 21 the operand is the
+    # spare buffer when the result is made (at n = 20 it is the live one), so a frame
+    # that still held it would keep a second buffer alive: 16 bytes a point.
+    assert traced_peak(walsh_transform, random_table(rng, n)) <= 12.5 * (1 << n)
 
 
 def test_butterfly_involution(rng):

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from walshlab.core import Spectrum, TruthTable, popcounts, table_from_anf, walsh_transform
+from walshlab.core import _CHUNK, Spectrum, TruthTable, popcounts, table_from_anf, walsh_transform
 from walshlab.metrics import (
     LogLinear,
     MetricsReport,
@@ -23,7 +23,7 @@ from walshlab.metrics import (
 )
 from walshlab.report import QUINTIC_MAX_ANF, QUINTIC_SEED_ANF
 
-from conftest import random_balanced, random_table
+from conftest import random_balanced, random_table, traced_peak
 
 
 def spectrum_of(anf: str, n: int) -> Spectrum:
@@ -290,6 +290,65 @@ def test_classify_matches_per_point_reference(rng):
                 assert repr(min_entropy(s)) == repr(want.min_entropy)
                 assert repr(influence_spectral(s)) == repr(want.influence)
                 assert resilience_order(s) == want.resilience_order
+
+
+def test_every_metric_rejects_a_fault_in_the_last_block(rng):
+    n = 17
+    assert 1 << n >= 8 * _CHUNK  # the faults lie blocks after the first
+    # 723^2 + 39^2 + 5^2 + 3^2 = 2^19 - 4, so with 2^17 - 2 at point 0 Parseval holds
+    odd = np.zeros(1 << n, dtype=np.int64)
+    odd[0], odd[-4:] = (1 << n) - 2, [723, 39, 5, 3]
+    assert int(odd @ odd) == 4**n
+    cases = [(odd, "odd")]
+    valid = walsh_transform(random_table(rng, n)).corr
+    for last, match in [
+        ((1 << n) + 2, "above 2"),
+        (np.iinfo(np.int64).min, "above 2"),
+        (valid[-1] + 2, "sum to"),
+        (valid[-1] - 2, "sum to"),
+    ]:
+        corr = valid.copy()
+        corr[-1] = last
+        cases.append((corr, match))
+    for corr, match in cases:
+        bad = Spectrum(n, corr)
+        for metric in (classify, entropy, min_entropy, influence_spectral, resilience_order):
+            with pytest.raises(SpectrumError, match=match):
+                metric(bad)
+
+
+def test_scan_stops_once_large_levels_break_parseval():
+    # every |c| = 2^n passes the range check; the pass stops within the first block
+    # rather than keep 2^n large levels for the final Parseval check
+    n = 17
+    with pytest.raises(SpectrumError, match="more than"):
+        classify(Spectrum(n, np.full(1 << n, 1 << n)))
+
+
+def test_classify_levels_above_the_histogram():
+    # the sum of all variables: its one level 2^n sits at the last point, above the
+    # levels the histogram counts, after blocks that saw only zeros
+    n = 17
+    s = parity(n)
+    assert int(s.corr[-1]) == 1 << n
+    assert repr(classify(s)) == repr(reference_report(s))
+
+
+@pytest.mark.parametrize("kind", ["random", "balanced", "affine", "bent"])
+def test_classify_extra_memory_is_bounded(rng, kind):
+    # one block buffer and a histogram of the small levels, not a pass-sized temporary
+    n = 20
+    half = 1 << (n - 1)
+    low = rng.getrandbits(half)
+    f = {
+        "random": lambda: random_table(rng, n),
+        "balanced": lambda: TruthTable(n, low | (low ^ ((1 << half) - 1)) << half),  # g + X20
+        "affine": lambda: table_from_anf(" + ".join(f"X{j}" for j in range(1, n + 1)), n),
+        "bent": lambda: table_from_anf(" + ".join(f"X{j}X{j + 1}" for j in range(1, n, 2)), n),
+    }[kind]()
+    s = walsh_transform(f)
+    assert (int(s.corr[0]) == 0) == (kind in ("balanced", "affine"))
+    assert traced_peak(classify, s) < s.corr.nbytes // 8
 
 
 # --- min-entropy ------------------------------------------------------------------

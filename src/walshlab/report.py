@@ -253,7 +253,7 @@ class _Ctx:
         return self.get("qs_report", lambda: classify(walsh_transform(self.quintic_seed)))
 
     def rotsym(self, n: int, metric: str) -> search.SearchResult:
-        return self.get(("rotsym", n, metric), lambda: search.sweep_rotsym(n, metric, threads=self.threads))
+        return self.get(("rotsym", n, metric), lambda: search.sweep_rotsym(n, metric))
 
     def seed_family_sweep(self) -> search.SearchResult:
         def run():

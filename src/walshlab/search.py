@@ -12,19 +12,19 @@ for the general family, input orbits (weight classes, necklaces) for the
 structured ones. The largest squared correlation, the influence (c^2 dotted
 with the columns' sizes times weights), every filter and the float ratios
 are read from those columns, weighted by their sizes; no function is ever
-transformed alone. General spectra come from half spectra precomputed once:
-the two 2^(n-1)-point halves A, B of a function give [A+B | A-B]. Spectra of
-symmetric and rotation symmetric functions come from one orbit-class matrix
-per (family, n), which turns a function's orbit sign vector into its
-correlations at the orbit representatives.
+transformed alone. With the orbit-class matrix M (the Hadamard matrix for
+general functions), a row is a signed sum over the K id bits: c(rep_p) = sum
+over classes o of (-1)^(bit o) * M[o, p]. Two tables hold the sums over the
+low K // 2 bits and over the rest, so a row is lo[low bits] + hi[high bits];
+for general functions they are [T | T] and [T | -T], T the half spectra.
 
 Every family is scanned one orbit of a symmetry group at a time. The group
 moves squared correlations only between points of equal weight (corr0 only
 changes sign), so every metric, filter and balancedness is constant on its
 orbits. For the general family it acts on low halves: the maps x -> pi(x)
 xor t of the points of X1..X_{n-1} (pi a permutation of those variables, t a
-translation), each with and without output complement, applied to both half
-tables at once, (n-1)! * 2^(n-1) * 2 elements; a work unit is the smallest
+translation), each with and without output complement, applied to both
+halves of a function, (n-1)! * 2^(n-1) * 2 elements; a work unit is the smallest
 low half of an orbit (222 of 65536 at n=5, one per NPN class of 4-variable
 functions) against every high half. For the structured families it acts on
 function ids: input complement, the variable maps i -> k*i mod n (k coprime
@@ -61,11 +61,11 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .core import TruthTable, _walsh_spectra, popcounts
+from .core import TruthTable, _check_arity, _walsh_spectra, popcounts
 from .metrics import LogLinear, entropy_of_levels
 
 FAMILIES = ("general", "symmetric", "rotsym")
@@ -107,11 +107,6 @@ class CheckpointError(ValueError):
 
 
 # --- Function classes ---------------------------------------------------------
-
-
-def _check_arity(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"arity must be >= 1, got {n}")
 
 
 def necklaces(n: int) -> tuple[tuple[int, ...], np.ndarray]:
@@ -453,12 +448,12 @@ class _Agg:
 class _IdOrbits:
     """Orbits of a group on b-bit ids; each element permutes the bits, then may complement them.
 
-    The image of id (u << half) | v under element g is lo[g, v] ^ hi[g, u]
-    (a complement is folded into ``lo``), so the group is stored as two small
-    tables per element instead of |G| x 2^b images.
+    With h = b // 2, the image of id (u << h) | v under element g is lo[g, v] ^
+    hi[g, u] (a complement is folded into ``lo``), so the group is stored as
+    two small tables per element instead of |G| x 2^b images.
     """
 
-    half: int
+    bits: int  # b
     lo: np.ndarray
     hi: np.ndarray
     reps: np.ndarray  # the smallest id of each orbit, ascending
@@ -466,26 +461,28 @@ class _IdOrbits:
 
     def images(self, ids: np.ndarray) -> np.ndarray:
         """images[g, i] = ids[i] under element g, in int32."""
-        return self.lo[:, ids & ((1 << self.half) - 1)] ^ self.hi[:, ids >> self.half]
+        h = self.bits // 2
+        return self.lo[:, ids & ((1 << h) - 1)] ^ self.hi[:, ids >> h]
 
 
-def _id_orbits(perms: np.ndarray, flips: np.ndarray) -> _IdOrbits:
-    """Orbits of the group whose element g moves bit perms[g, j] of an id to bit j,
-    then complements the id if flips[g]."""
-    order, bits = perms.shape
+def _id_orbits(perms: np.ndarray) -> _IdOrbits:
+    """Orbits of the group whose elements move bit perms[g, j] of an id to bit j,
+    each with and without complementing the id afterwards."""
+    bits = perms.shape[1]
     half = bits // 2
     target = np.argsort(perms, axis=1).astype(np.int32)  # target[g, s] = where g moves bit s
 
     def table(first: int, width: int) -> np.ndarray:
         """Images of the ids whose set bits all lie in first..first+width-1."""
         v = np.arange(1 << width, dtype=np.int32)
-        out = np.zeros((order, v.size), dtype=np.int32)
+        out = np.zeros((perms.shape[0], v.size), dtype=np.int32)
         for j in range(width):
             out |= ((v >> j) & 1) << target[:, first + j, None]
         return out
 
-    lo = table(0, half) ^ np.where(flips, (1 << bits) - 1, 0).astype(np.int32)[:, None]
-    hi = table(half, bits - half)
+    lo, hi = table(0, half), table(half, bits - half)
+    lo, hi = np.concatenate([lo, lo ^ ((1 << bits) - 1)]), np.concatenate([hi, hi])
+    order = lo.shape[0]
     step = max(1, (_ORBIT_BLOCK_CELLS // order) >> half)  # high parts per block
     reps, sizes = [], []
     for u in range(0, hi.shape[1], step):
@@ -495,7 +492,7 @@ def _id_orbits(perms: np.ndarray, flips: np.ndarray) -> _IdOrbits:
         reps.append(ids[is_rep])
         stabiliser = np.count_nonzero(img[:, is_rep] == ids[is_rep], axis=0)
         sizes.append((order // stabiliser).astype(np.int32))
-    return _IdOrbits(half, lo, hi, np.concatenate(reps), np.concatenate(sizes))
+    return _IdOrbits(bits, lo, hi, np.concatenate(reps), np.concatenate(sizes))
 
 
 @dataclass(frozen=True)
@@ -504,27 +501,23 @@ class _Kernel:
 
     Column j holds sizes[j] points of Hamming weight weights[j] on which
     every function of the family has the same correlation; a function id has
-    one bit per column (its value on point j, or on input orbit j). The
-    general family's spectral data are the half spectra ``T``, the others'
-    the orbit-class matrix ``M``: c(rep_p) = sum over orbits o of (-1)^f(o) *
-    M[o, p]. ``orbits`` holds the work units: general low halves (each
-    scanned against every high half) or whole functions.
+    one bit per column (its value on point j, or on input orbit j). Its
+    correlations are lo[id & (2^split - 1)] + hi[id >> split], where a table
+    row is the signed sum of the orbit-class matrix rows of its part of the
+    id bits. ``orbits`` holds the work units: general low halves (``split``
+    bits, each scanned against every high half) or whole functions.
     """
 
     sizes: np.ndarray  # spectral points per column
     weights: np.ndarray  # Hamming weight shared by a column's points
     orbits: _IdOrbits  # work-unit orbits: low halves (general) or functions
-    T: np.ndarray | None = None  # general: T[x] = correlations of half table x
-    M: np.ndarray | None = None  # otherwise: M[o, p] = sum of (-1)^(x . rep_p) over orbit o
+    split: int  # id bits that index ``lo``; the higher ones index ``hi``
+    lo: np.ndarray
+    hi: np.ndarray
 
     def spectra(self, ids: np.ndarray) -> np.ndarray:
         """Correlations of functions ``ids``, one column per point class."""
-        if self.M is not None:
-            bits = (ids[:, None] >> np.arange(self.sizes.size)) & 1
-            return (1 - 2 * bits) @ self.M
-        nh, h = self.T.shape
-        low, high = self.T[ids & (nh - 1)], self.T[ids >> h]
-        return np.concatenate([low + high, low - high], axis=1)
+        return self.lo[ids & ((1 << self.split) - 1)] + self.hi[ids >> self.split]
 
     def units(
         self, first: int, last: int, balanced: bool
@@ -532,66 +525,74 @@ class _Kernel:
         """Ids, orbit sizes and correlations of the rows of work units first..last-1.
 
         With ``balanced``, a general unit keeps only the high halves that
-        balance its low half (T[hi, 0] = -T[lo, 0]); other rows are all kept.
+        balance its low half (hi[u, 0] = -lo[v, 0]); other rows are all kept.
         """
         reps, sizes = self.orbits.reps[first:last], self.orbits.sizes[first:last]
-        if self.M is not None:
+        if self.orbits.bits == self.sizes.size:  # whole functions
             return reps, sizes, self.spectra(reps)
-        nh, h = self.T.shape
         if balanced:
-            unit, high = np.nonzero(self.T[:, 0] == -self.T[reps, :1])
-            ids = (high << h) | reps[unit]
+            unit, high = np.nonzero(self.hi[:, 0] == -self.lo[reps, :1])
+            ids = (high << self.split) | reps[unit]
             return ids, sizes[unit], self.spectra(ids)
-        low = self.T[reps][:, None, :]
-        corr = np.empty((reps.size, nh, 2 * h), dtype=self.T.dtype)
-        np.add(low, self.T, out=corr[:, :, :h])
-        np.subtract(low, self.T, out=corr[:, :, h:])
-        ids = (np.arange(nh, dtype=np.int64) << h) | reps[:, None]
-        return ids.ravel(), np.repeat(sizes, nh), corr.reshape(-1, 2 * h)
+        ids = (np.arange(self.hi.shape[0], dtype=np.int64) << self.split) | reps[:, None]
+        corr = self.lo[reps][:, None, :] + self.hi
+        return ids.ravel(), np.repeat(sizes, ids.shape[1]), corr.reshape(ids.size, -1)
 
     def orbit_ids(self, ids: np.ndarray) -> np.ndarray:
-        """Every function in the orbits of ``ids``, with repeats."""
-        if self.M is not None:
-            return self.orbits.images(ids)
-        nh, h = self.T.shape
-        high = self.orbits.images(ids >> h).astype(np.int64)
-        return (high << h) | self.orbits.images(ids & (nh - 1))
+        """Every function in the orbits of ``ids``, with repeats. A group element
+        acts alike on each unit-wide part of an id (both halves of a general id)."""
+        width = self.orbits.bits
+        parts = [
+            self.orbits.images((ids >> s) & ((1 << width) - 1)).astype(np.int64) << s
+            for s in range(0, self.sizes.size, width)
+        ]
+        return functools.reduce(np.bitwise_or, parts)
+
+
+def _signed_sums(rows: np.ndarray, dtype: type) -> np.ndarray:
+    """table[v] = sum over j of (-1)^(bit j of v) * rows[j], for every v < 2^len(rows).
+
+    One float32 GEMM, exact: a column of an orbit-class matrix sums to at most
+    2^n <= 2^16 in absolute value, so every partial sum is an integer below 2^24.
+    """
+    bits = np.arange(1 << len(rows), dtype=np.int32)[:, None] >> np.arange(len(rows), dtype=np.int32)
+    signs = (1 - 2 * (bits & 1)).astype(np.float32)
+    return (signs @ rows.astype(np.float32)).astype(dtype)
 
 
 @functools.cache
 def _kernel(family: str, n: int) -> _Kernel:
     wt = popcounts(1 << n)
+    # The group's input maps are x -> sigma(x) ^ t (sigma a variable permutation);
+    # bit o of an image id takes the bit of the class that rep o is mapped to.
     if family == "general":
-        h = 1 << (n - 1)
-        points = np.arange(h, dtype=np.int64)
-        T = _walsh_spectra(1 - 2 * ((np.arange(1 << h, dtype=np.int64)[:, None] >> points) & 1))
-        # |c| <= 2^n <= 32, so c^2 <= 1024 and the influence numerator n * 4^n fit in
-        # int32, which halves the memory traffic of every batch
-        T, wt = T.astype(np.int32), wt.astype(np.int32)
-        # point maps x -> pi(x) ^ t: bit j of an image takes bit pi(j) ^ t of its id
-        bits = (points[:, None] >> np.arange(n - 1)) & 1
-        perms = itertools.permutations(range(n - 1))
-        permuted = [bits @ (1 << np.array(pi, dtype=np.int64)) for pi in perms]
-        maps = np.array([x ^ t for x in permuted for t in range(h)])
-        orbits = _id_orbits(np.tile(maps, (2, 1)), np.repeat([False, True], len(maps)))
-        return _Kernel(np.ones(2 * h, dtype=np.int32), wt, orbits, T=T)
-    if family == "symmetric":
-        reps, orbit = [(1 << w) - 1 for w in range(n + 1)], wt
+        # every point is a class; the maps act on the low half (X_n = 0), with every
+        # permutation of X1..X_{n-1} and every translation
+        reps = orbit = np.arange(1 << n)
+        points, shifts = reps[: 1 << (n - 1)], range(1 << (n - 1))
+        sigmas = np.array(list(itertools.permutations(range(n - 1))), dtype=np.int64)
     else:
-        reps, orbit = necklaces(n)
-    reps = np.asarray(reps, dtype=np.int64)
-    indicators = orbit[None, :] == np.arange(reps.size)[:, None]
-    # Input maps: variable i -> k*i mod n for k coprime to n (these take rotations
-    # to rotations; every k fixes the weight classes, so symmetric functions take
-    # k = 1 only), each with and without input complement. Function id bit o
-    # takes the bit of the orbit its representative is mapped to.
-    points = np.arange(n)
-    mults = [k for k in range(1, n + 1) if math.gcd(k, n) == 1] if family == "rotsym" else [1]
-    moved = [(((reps[:, None] >> points) & 1) << (k * points % n)).sum(axis=1) for k in mults]
-    perms = np.array([orbit[x ^ c] for x in moved for c in (0, (1 << n) - 1)])
-    orbits = _id_orbits(np.repeat(perms, 2, axis=0), np.tile([False, True], perms.shape[0]))
-    sizes = np.bincount(orbit, minlength=reps.size)
-    return _Kernel(sizes, wt[reps], orbits, M=_walsh_spectra(indicators)[:, reps])
+        if family == "symmetric":
+            reps, orbit = np.array([(1 << w) - 1 for w in range(n + 1)]), wt
+        else:
+            reps, orbit = map(np.asarray, necklaces(n))
+        # i -> k*i mod n for k coprime to n (these take rotations to rotations; every k
+        # fixes the weight classes, so symmetric functions take k = 1 only), each with
+        # and without input complement
+        points, shifts = reps, (0, (1 << n) - 1)
+        mults = [k for k in range(1, n + 1) if math.gcd(k, n) == 1] if family == "rotsym" else [1]
+        sigmas = [k * np.arange(n) % n for k in mults]
+    moved = [(((points[:, None] >> np.arange(s.size)) & 1) << s).sum(axis=1) for s in sigmas]
+    maps = np.array([orbit[x ^ t] for x in moved for t in shifts])
+    # M[o, p] = sum of (-1)^(x . rep_p) over class o: the Hadamard matrix for general
+    # functions. |c| <= 2^n, so c^2 and the influence numerator (<= n * 4^n) fit in
+    # int32 below n * 4^n = 2^31, which halves the memory traffic of every batch
+    M = _walsh_spectra(orbit[None, :] == np.arange(reps.size)[:, None])[:, reps]
+    dtype = np.int32 if n * 4**n < 1 << 31 else np.int64
+    split = reps.size // 2
+    lo, hi = (_signed_sums(part, dtype) for part in (M[:split], M[split:]))
+    sizes = np.bincount(orbit, minlength=reps.size).astype(dtype)
+    return _Kernel(sizes, wt[reps].astype(dtype), _id_orbits(maps), split, lo, hi)
 
 
 def _entropy_rows(c2: np.ndarray, n: int, sizes: np.ndarray) -> np.ndarray:
@@ -819,6 +820,18 @@ def check_threads(threads: int | None) -> None:
         raise ValueError(f"threads must be >= 1 (or None for every core), got {threads}")
 
 
+def _run_chunks(job: SearchJob, pending: list[int], threads: int) -> Iterator[tuple[int, _Agg]]:
+    """(chunk index, outcome) of each pending chunk, in order here or as pool workers finish."""
+    if threads == 1 or len(pending) <= 1 or _space_size(job) < _POOL_MIN_FUNCTIONS:
+        for i in pending:
+            yield i, _run_chunk(job, i)
+        return
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        futures = {pool.submit(_run_chunk, job, i): i for i in pending}
+        for fut in as_completed(futures):
+            yield futures[fut], fut.result()
+
+
 def sweep(
     job: SearchJob,
     threads: int | None = None,
@@ -828,18 +841,15 @@ def sweep(
 
     The outcome is a pure function of the job: worker count, chunk layout,
     and resume points cannot change it. Every arity within the family's
-    bound (see :class:`SearchJob`) is accepted. One kernel per (family, n)
-    serves every job, and its work units are orbit representatives under a
-    group that keeps every metric: general-family units are low halves
-    under variable permutations, translations and output complement (222
-    of 2^16 at n=5), each scanned against every high half; symmetric and
-    rotation-symmetric units are whole functions. Every chunk runs the same
-    batched scan over its units. A row counts once per member of its orbit in
+    bound (see :class:`SearchJob`) is accepted. A chunk scans work units,
+    orbit representatives under a group that keeps every metric (see the
+    module docstring); a row counts once per member of its orbit in
     ``functions_scanned``, ``witness_total`` and ``balanced_at_best``, and
     witnesses are the smallest ids over the whole orbits. ``threads`` is the
     worker count (>= 1; ``None`` means one per core); a family with fewer
     than 2^24 functions at the job's arity (everything but general n=5) is
-    swept in this process whatever the count.
+    swept in this process whatever the count. Each finished chunk gets one
+    synced checkpoint record and one ``progress`` call.
     """
     check_threads(threads)
     t0 = time.perf_counter()
@@ -857,40 +867,29 @@ def sweep(
             _write_synced(ckpt_fh, _header(job))
     resumed = len(done)
     pending = [i for i in range(len(ranges)) if i not in done]
+    if threads is None:
+        threads = os.cpu_count() or 1
     try:
-        if threads is None:
-            threads = os.cpu_count() or 1
-        if threads == 1 or len(pending) <= 1 or _space_size(job) < _POOL_MIN_FUNCTIONS:
-            for i in pending:
-                done[i] = _run_chunk(job, i)
-                if ckpt_fh is not None:
-                    _append_record(ckpt_fh, job, i, done[i])
-                if progress is not None:
-                    progress(len(done), len(ranges))
-        else:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                futures = {pool.submit(_run_chunk, job, i): i for i in pending}
-                for fut in as_completed(futures):
-                    i = futures[fut]
-                    done[i] = fut.result()
-                    if ckpt_fh is not None:
-                        _append_record(ckpt_fh, job, i, done[i])
-                    if progress is not None:
-                        progress(len(done), len(ranges))
+        for i, agg in _run_chunks(job, pending, threads):
+            done[i] = agg
+            if ckpt_fh is not None:
+                _append_record(ckpt_fh, job, i, agg)
+            if progress is not None:
+                progress(len(done), len(ranges))
     finally:
         if ckpt_fh is not None:
             ckpt_fh.close()
     return _finalize(job, done, time.perf_counter() - t0, resumed)
 
 
-def sweep_symmetric(n: int, metric: str = "ei", threads: int | None = None) -> SearchResult:
-    """Scan all 2^(n+1) symmetric functions on n variables."""
-    return sweep(SearchJob("symmetric", n, metric), threads=threads)
+def sweep_symmetric(n: int, metric: str = "ei") -> SearchResult:
+    """Scan all 2^(n+1) symmetric functions on n variables, in this process."""
+    return sweep(SearchJob("symmetric", n, metric))
 
 
-def sweep_rotsym(n: int, metric: str = "ei", threads: int | None = None) -> SearchResult:
-    """Scan all rotation symmetric functions on n variables."""
-    return sweep(SearchJob("rotsym", n, metric), threads=threads)
+def sweep_rotsym(n: int, metric: str = "ei") -> SearchResult:
+    """Scan all rotation symmetric functions on n variables, in this process."""
+    return sweep(SearchJob("rotsym", n, metric))
 
 
 # --- Conjecture checks ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import struct
 import zlib
 from fractions import Fraction
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from walshlab.construct import ot_recursion_metrics
-from walshlab.core import TruthTable, popcounts, walsh_transform
+from walshlab.core import N_MAX, TruthTable, popcounts, walsh_transform
 from walshlab.metrics import LogLinear, classify
 from walshlab.report import run_verification_suite, search_result_canonical
 from walshlab.search import (
@@ -107,8 +108,9 @@ def test_rotsym_function_rejects_out_of_range_values():
     ids=["necklaces", "RotSymFunction", "SymmetricFunction"],
 )
 def test_arity_below_one_rejected(make):
-    for n in (0, -1):
-        with pytest.raises(ValueError, match=f"arity must be >= 1, got {n}"):
+    # the core bound: n = 29 is refused before any 2^29-entry table is built
+    for n in (0, -1, N_MAX + 1):
+        with pytest.raises(ValueError, match=re.escape(f"arity must be in [1, {N_MAX}], got {n}")):
             make(n)
     make(1)
 
@@ -121,12 +123,14 @@ def test_every_one_var_function_is_rotsym():
 
 
 @pytest.mark.parametrize(
-    "family,ns", [("symmetric", range(1, 13)), ("rotsym", range(1, 8)), ("general", range(1, 6))]
+    "family,ns", [("symmetric", range(1, 17)), ("rotsym", range(1, 8)), ("general", range(1, 6))]
 )
 def test_orbit_spectra_match_fwht(family, ns):
     # class rows spread over the orbit map are the dense spectrum of expand()
     for n in ns:
         kernel = _kernel(family, n)
+        # int64 only where c^2 or the influence numerator n * 4^n can leave int32
+        assert kernel.lo.dtype == kernel.hi.dtype == (np.int32 if n * 4**n < 2**31 else np.int64)
         count = 1 << kernel.sizes.size
         ids = np.unique(np.linspace(0, count - 1, num=min(count, 40)).astype(np.int64))
         corr = kernel.spectra(ids)
@@ -194,7 +198,7 @@ def test_low_half_orbit_representatives():
         kernel = _kernel("general", n)
         reps, sizes = kernel.orbits.reps, kernel.orbits.sizes
         assert reps.size == expected
-        assert int(sizes.sum()) == kernel.T.shape[0] == 1 << (1 << (n - 1))
+        assert int(sizes.sum()) == kernel.lo.shape[0] == 1 << (1 << (n - 1))
         assert np.all(np.diff(reps) > 0)
         orbits = np.sort(kernel.orbits.images(reps), axis=0)  # one column per orbit
         assert np.array_equal(orbits[0], reps)
@@ -209,8 +213,12 @@ def test_low_half_orbit_maps_permute_spectra():
     # once it only reorders the squared correlations of [A+B | A-B] within weights
     for n in range(1, 6):
         kernel = _kernel("general", n)
-        T, orbits = kernel.T, kernel.orbits
-        nh, h = T.shape
+        orbits, h = kernel.orbits, 1 << (n - 1)
+        T = kernel.lo[:, :h]  # the half spectra: lo = [T | T] and hi = [T | -T]
+        nh = T.shape[0]
+        assert np.array_equal(T, reference_butterfly(1 - 2 * ((np.arange(nh)[:, None] >> np.arange(h)) & 1)))
+        assert np.array_equal(kernel.lo, np.hstack([T, T]))
+        assert np.array_equal(kernel.hi, np.hstack([T, -T]))
         points, weight = np.arange(h), popcounts(h)
         units = orbits.images(np.concatenate([[0], 1 << points]))
         assert units.shape[0] == math.factorial(n - 1) * h * 2
@@ -289,7 +297,7 @@ def test_job_validation():
         SearchJob("general", 3, filters=("shiny",))
     with pytest.raises(SweepBoundError):
         sweep_symmetric(17, "mei")
-    assert sweep_symmetric(16, "mei", threads=1).best_ratio.rational == 2
+    assert sweep_symmetric(16, "mei").best_ratio.rational == 2
 
 
 @pytest.mark.parametrize("threads", [0, -3])
@@ -823,14 +831,14 @@ def test_symmetric_sweep_small_vs_naive():
             rep = classify(walsh_transform(SymmetricFunction(n, vid).expand()))
             if rep.ei_ratio is not None and (best is None or rep.ei_ratio > best):
                 best = rep.ei_ratio
-        r = sweep_symmetric(n, "ei", threads=1)
+        r = sweep_symmetric(n, "ei")
         assert r.best_ratio == best
         assert r.functions_scanned == 1 << (n + 1)
 
 
 def test_symmetric_even_mei_max_is_two_with_bent_witnesses():
     for n in (2, 4, 8):
-        r = sweep_symmetric(n, "mei", threads=1)
+        r = sweep_symmetric(n, "mei")
         assert r.best_ratio == LogLinear.from_fraction(2)
         assert r.witness_total == 4
         for hx in r.witnesses:
@@ -843,15 +851,15 @@ def test_class_consistency_small_n():
     for n in (2, 3, 4):
         for metric in ("mei", "ei"):
             general = sweep(SearchJob("general", n, metric=metric), threads=1)
-            sym = sweep_symmetric(n, metric, threads=1)
-            rot = sweep_rotsym(n, metric, threads=1)
+            sym = sweep_symmetric(n, metric)
+            rot = sweep_rotsym(n, metric)
             assert sym.best_ratio <= general.best_ratio
             assert rot.best_ratio <= general.best_ratio
 
 
 def test_rotsym_n1_matches_general():
     g = sweep(SearchJob("general", 1, metric="mei"), threads=1)
-    r = sweep_rotsym(1, "mei", threads=1)
+    r = sweep_rotsym(1, "mei")
     assert g.best_ratio == r.best_ratio
     assert g.witness_total == r.witness_total
 
@@ -859,8 +867,8 @@ def test_rotsym_n1_matches_general():
 def test_rotsym_n5_maxima():
     # frozen from an independent single-file scan of all 2^8 orbit assignments
     # best_ratio.value is the exact maximum, correctly rounded
-    assert f"{sweep_rotsym(5, 'ei', threads=1).best_ratio.value:.6f}" == "3.623740"
-    assert f"{sweep_rotsym(5, 'mei', threads=1).best_ratio.value:.6f}" == "2.147932"
+    assert f"{sweep_rotsym(5, 'ei').best_ratio.value:.6f}" == "3.623740"
+    assert f"{sweep_rotsym(5, 'mei').best_ratio.value:.6f}" == "2.147932"
 
 
 # --- conjecture checks -------------------------------------------------------------------

@@ -6,28 +6,49 @@ with variable ``X_j`` carried by index bit j-1 (X_1 is least significant).
 Spectra hold the unnormalised correlations c(a) = 2^n * W_f(a), which are
 exact 64-bit integers for every arity this library supports.
 
-``walsh_transform`` is a few float GEMMs. The m index bits of a 2^m-point
-axis are split into ceil(m/4) near-equal blocks, the wider ones lowest. The
-lowest block, k bits wide, is one right product ``x.reshape(-1, 2^k) @ H``; a
-higher block at bit offset s is one batched left product
-``H @ x.reshape(-1, 2^k, 2^s)``, where H is the cached 2^k x 2^k
-Sylvester-Hadamard matrix. Every block but the last runs in float32 between
-two alternating buffers. The last frees the spare one and writes the int64
-result a chunk at a time, so a transform peaks at 12 bytes a point.
+``walsh_transform`` is a few float GEMMs in two cache-blocked passes over its
+own int64 result, as in Bailey's "FFTs in external or hierarchical memory"
+(J. Supercomputing, 1990). A 2^m-point axis is R = 2^a rows of C = 2^b points,
+C = 2^min(m, 14) one ``_CHUNK``. Until a row is written, its 8C-byte slot of
+the result holds 2C float32s: the first half is free and the second stages
+the row's partial sums.
 
-Every input entry is -1, 0 or 1, so after the blocks below bit s each entry is
-a partial Walsh sum of 2^s of them, and every sum in a block's product is an
-integer of size at most 2^(s+k). float32 holds every integer up to 2^24 and
-float64 up to 2^53. The last block is the narrowest, so for every m <= N_MAX
-the blocks before it cover at most 24 bits; the last one sums in float32 up
-to m = 24 (the default dense cap) and in float64 above. Every product is
-therefore exact in any summation order.
+The bits of each pass are split into blocks of at most 4 bits
+(``_block_widths``). A block k bits wide at bit offset s is one batched left
+product ``H @ x.reshape(-1, 2^k, 2^s)``, H the cached 2^k x 2^k
+Sylvester-Hadamard matrix; at s = 0 it may be the right product
+``x.reshape(-1, 2^k) @ H``.
+
+- Pass 1 runs the high a bits across the rows, a panel of columns at a time:
+  2^14 points, but at least 128 columns wide. It makes the +-1 signs straight
+  from the packed truth table into the free halves of rows 0 and 1, eight
+  points a byte through the read-only 256 x 8 table ``_SIGNS``, runs the blocks
+  there, and the block at bit 0 writes the staging halves. Above m = 21 the
+  panels outgrow those halves and take two buffers of a 128th of the result.
+  At m <= 14 there is one row, and pass 1 is only the gather into its staging.
+- Pass 2 runs the low b bits a slot at a time, the blocks alternating between
+  its two halves. The lowest block, the widest, writes the int64 row over the
+  slot in pieces, in the order that overwrites only floats already read.
+
+So a transform holds its result, the packed table (an eighth of a byte a point)
+and scratch of at most a 64th of the result: about 8 bytes a point from
+m = 15 up. ``_walsh_spectra`` runs batched rows through the same passes, a
+slot holding up to 2^14 points of whole rows.
+
+Every input entry is -1, 0 or 1, so after the blocks over any s of the bits
+each entry is a partial Walsh sum of 2^s of them, an integer of size at most
+2^s. float32 holds every integer up to 2^24 and float64 up to 2^53. Pass 1
+covers at most 14 bits, and above m = 14 the last block is 4 bits wide, so for
+every m <= N_MAX the blocks before it cover at most 24 bits; the last one sums
+in float32 up to m = 24 (the default dense cap) and in float64 above. Every
+product is therefore exact in any summation order.
 """
 from __future__ import annotations
 
 import functools
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +58,11 @@ DEFAULT_DENSE_CAP = 24
 # Largest transform exponent whose last block sums in float32, which holds every
 # integer up to 2^24; longer transforms sum their last block in float64.
 _F32_MAX_N = 24
-# Points in one chunk of the last block's product, bounding its float temporaries
+# Points in one row of the two-pass transform, which runs its low bits in cache
 _CHUNK = 1 << 14
+# (-1)^(bit j of v) at [v, j]: the signs of the eight points a truth-table byte v holds
+_SIGNS = np.where((np.arange(256)[:, None] >> np.arange(8)) & 1, -1, 1).astype(np.float32)
+_SIGNS.flags.writeable = False
 
 _dense_cap = DEFAULT_DENSE_CAP
 
@@ -186,8 +210,18 @@ class Spectrum:
         return max(int(self.corr.max()), -int(self.corr.min())) ** 2
 
     def parseval_holds(self) -> bool:
-        # Python ints: an int64 dot product wraps once some |c| reaches 2^32
-        return sum(c * c for c in self.corr.tolist()) == 4**self.n
+        """Whether the squares sum to 4^n, exactly and in O(_CHUNK) extra memory."""
+        # every |c| <= 2^n; -int(min) is exact for INT64_MIN too
+        if max(int(self.corr.max()), -int(self.corr.min())) > self.size:
+            return False
+        # c = hi * 2^16 + lo with 0 <= lo < 2^16: over a block of 2^14 points the three
+        # dot products stay below 2^46 for every n <= N_MAX, so none wraps in int64
+        total = 0
+        for start in range(0, self.size, _CHUNK):
+            c = self.corr[start : start + _CHUNK]
+            hi, lo = c >> 16, c & 0xFFFF
+            total += (int(hi @ hi) << 32) + (int(hi @ lo) << 17) + int(lo @ lo)
+        return total == 4**self.n
 
 
 def _transform_bits(size: int) -> int:
@@ -213,63 +247,131 @@ def _block_widths(m: int) -> tuple[int, ...]:
     return tuple(m // q + (i < m % q) for i in range(q))
 
 
-def _walsh_spectra(signs: np.ndarray) -> np.ndarray:
-    """Exact int64 Walsh spectra along the last axis of ``signs``, which is not written.
+class _Plan(NamedTuple):
+    """The fixed parts of a 2^m-point transform; the module docstring has the passes."""
 
-    Entries must be -1, 0 or 1 (the +-1 signs of functions, or 0/1
-    indicators). Leading axes are independent transforms. The blocks, their
-    products and the exactness bound are in the module docstring.
-    """
-    m = _transform_bits(signs.shape[-1])
-    return _spectra_of(np.array(signs, dtype=np.float32, order="C"), m)
+    a: int  # 2^a rows of 2^b points, a row at most one chunk
+    b: int
+    panel: int  # columns in one panel of pass 1
+    high: tuple  # pass 1's (factor, operand shape) blocks, the one at bit 0 last
+    low: tuple  # pass 2's blocks above the lowest, which is the right product by ``last``
+    last: np.ndarray
+    step: int  # points in one float product of the lowest block
 
 
-def _spectra_of(x: np.ndarray, m: int) -> np.ndarray:
-    """Spectra of the C-contiguous float32 operand ``x``, which is used as a work buffer."""
-    shape = x.shape
-    *widths, k = _block_widths(m)
-    y, s = None, 0
-    for w in widths:
-        h = _hadamard(w, np.float32)
-        if s:
-            np.matmul(h, x.reshape(-1, 1 << w, 1 << s), out=y.reshape(-1, 1 << w, 1 << s))
-            x, y = y, x
-        else:  # the operand becomes the spare buffer
-            x, y = x.reshape(-1, 1 << w) @ h, x
+@functools.cache
+def _plan(m: int) -> _Plan:
+    b = min(m, _CHUNK.bit_length() - 1)
+    a = m - b
+    R, C = 1 << a, 1 << b
+    # 2^14-point panels, but at least 128 columns (512 bytes of each row) wide: narrower
+    # ones split pass 1's lowest block into many tiny GEMMs
+    P = C >> min(a, 7)
+    high, s = [], 0
+    for w in _block_widths(a):
+        high.append((_hadamard(w, np.float32), (R >> (s + w), 1 << w, P << s)))
         s += w
-    del y  # the spare buffer goes before the int64 result is made
-    h = _hadamard(k, np.float32 if m <= _F32_MAX_N else np.float64)
-    out = np.empty(shape, dtype=np.int64)
-    if not s:
-        out.reshape(-1, 1 << k)[...] = x.reshape(-1, 1 << k) @ h
-        return out
-    src, dst = x.reshape(-1, 1 << k, 1 << s), out.reshape(-1, 1 << k, 1 << s)
-    step = max(1, _CHUNK // len(src) >> k)
-    for j in range(0, 1 << s, step):
-        dst[..., j : j + step] = h @ src[..., j : j + step]
+    k, *widths = _block_widths(b)
+    low, s = [], k
+    for w in widths:
+        low.append((_hadamard(w, np.float32), (-1, 1 << w, 1 << s)))
+        s += w
+    last = _hadamard(k, np.float32 if m <= _F32_MAX_N else np.float64)
+    # a slot at once when it is the whole transform, else at most 2^(m-5) points,
+    # whose float products take a 64th of the result's size
+    step = C >> max(0, 5 - a) if a else _CHUNK
+    return _Plan(a, b, P, tuple(high[::-1]), tuple(low), last, step)
+
+
+def _spectra(out: np.ndarray, fill) -> np.ndarray:
+    """Write exact Walsh spectra along the last axis of the C-contiguous int64 ``out``.
+
+    ``fill(dst, r, j, spare)`` writes into the 2-d float32 ``dst`` the input
+    values of rows r, r+1, ... of the input seen as rows of 2^b points, from
+    column j on. ``spare`` is a free 1-d float32 array of at least a quarter
+    of dst's size. The passes, the staging and why they are exact are in the
+    module docstring.
+    """
+    a, b, P, high, low, last, step = _plan(_transform_bits(out.shape[-1]))
+    R, C = 1 << a, 1 << b
+    rows = out.reshape(-1, C)
+    if a:  # pass 1: the high a bits of each input, across its R rows, a panel at a time
+        *inner, (h_last, shape_last) = high  # the block at bit 0 writes the staging
+        for first in range(0, len(rows), R):
+            slots = rows[first : first + R].view(np.float32).reshape(R, 2, C)
+            # the first halves of rows 0 and 1 are free until pass 2 writes those rows;
+            # above m = 21 the panels outgrow them
+            x, y = slots[:2, 0, : R * P] if R * P <= C else np.empty((2, R * P), dtype=np.float32)
+            blocks, u, v = [], x, y
+            for h, shape in inner:
+                blocks.append((h, u.reshape(shape), v.reshape(shape)))
+                u, v = v, u
+            panel, src = x.reshape(R, P), u.reshape(shape_last)
+            for j in range(0, C, P):
+                fill(panel, first, j, y)
+                for h, operand, result in blocks:
+                    np.matmul(h, operand, out=result)
+                np.matmul(h_last, src, out=slots[:, 1, j : j + P].reshape(shape_last))
+    # pass 2: the low b bits, a slot of whole rows (one row above 2^14 points) at a time
+    g = _CHUNK >> b  # rows in one slot
+    k = len(last).bit_length() - 1
+    for r in range(0, len(rows), g):
+        slot = rows[r : r + g].reshape(-1)
+        f = slot.view(np.float32)
+        free, staged = f[: slot.size], f[slot.size :]
+        if not a:  # pass 1 is only the gather
+            fill(staged.reshape(-1, C), r, 0, free)
+        u, v = staged, free
+        for h, shape in low:
+            np.matmul(h, u.reshape(shape), out=v.reshape(shape))
+            u, v = v, u
+        # The lowest block writes the int64 slot a piece at a time, each product made
+        # before it is stored. Point i of the slot takes bytes 8i..8i+8 of it, where floats
+        # 2i and 2i+1 lay, so pieces stored upwards from the second half, or downwards
+        # from the first, overwrite only floats that earlier pieces have read.
+        pieces = u.reshape(-1, min(step, slot.size) >> k, 1 << k)
+        dst = slot.reshape(pieces.shape)
+        for i in range(len(pieces)) if u is staged else range(len(pieces) - 1, -1, -1):
+            dst[i] = pieces[i] @ last
     return out
 
 
-def _float_signs(f: TruthTable) -> np.ndarray:
-    """(-1)^f as a new float32 array: the signs are formed in the uint8 outputs, then cast once."""
-    x = f.bit_array().view(np.int8)
-    x *= -2
-    x += 1
-    return x.astype(np.float32)
+def _walsh_spectra(signs: np.ndarray) -> np.ndarray:
+    """Exact int64 Walsh spectra along the last axis of ``signs``, which is not written.
+
+    Entries must be integers whose partial sums stay within 2^24 (the +-1
+    signs of functions, or 0/1 indicators). Leading axes are independent
+    transforms, whose rows go through the same two passes.
+    """
+    signs = np.asarray(signs)
+    src = signs.reshape(-1, 1 << _plan(_transform_bits(signs.shape[-1])).b)
+
+    def fill(dst, r, j, spare):
+        dst[...] = src[r : r + len(dst), j : j + dst.shape[1]]
+
+    return _spectra(np.empty(signs.shape, dtype=np.int64), fill)
 
 
 def walsh_transform(f: TruthTable) -> Spectrum:
-    """Exact integer Walsh spectrum of f by the blocked Hadamard GEMMs.
+    """Exact integer Walsh spectrum of f by the two passes of the module docstring.
 
-    The float32 +-1 operand is made by one float32 allocation, inside a helper
-    call, and handed straight to ``_spectra_of``. That uses it as a work
-    buffer and frees its spare buffer, often the operand, before it makes the
-    int64 result. So no frame here may keep a reference to the operand: one
-    would keep its 4 bytes a point alive and raise the transform's peak from
-    12 to 16 bytes a point.
+    The +-1 signs are made from the packed truth table, eight points a byte,
+    and every partial sum is staged inside the int64 result. Besides that
+    result the transform holds the packed table and scratch of at most a 64th
+    of the result's size, so from n = 15 up it peaks near 8 bytes a point.
     """
     check_dense(f.n)
-    return Spectrum(f.n, _spectra_of(_float_signs(f), f.n))
+    raw = np.frombuffer(f.bits.to_bytes((f.size + 7) // 8, "little"), dtype=np.uint8)
+    raw = raw.reshape(1 << _plan(f.n).a, -1)
+    signs = _SIGNS[:, : f.size]  # below n = 3 a byte holds fewer than eight points
+
+    def fill(dst, r, j, spare):
+        h, nb = len(dst), -(-dst.shape[1] // 8)
+        idx = spare[: 2 * h * nb].view(np.intp).reshape(h, nb)  # so take converts no index
+        np.copyto(idx, raw[r : r + h, j >> 3 : (j >> 3) + nb])
+        signs.take(idx, axis=0, out=dst.reshape(h, nb, -1), mode="clip")
+
+    return Spectrum(f.n, _spectra(np.empty(f.size, dtype=np.int64), fill))
 
 
 def reverse(f: TruthTable) -> TruthTable:

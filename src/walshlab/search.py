@@ -109,12 +109,14 @@ class CheckpointError(ValueError):
 # --- Function classes ---------------------------------------------------------
 
 
+@functools.cache
 def necklaces(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     """Cyclic-rotation orbit representatives of n-bit strings, ascending.
 
     Returns the representatives (each the smallest integer in its orbit,
-    i.e. the lexicographically minimal rotation) and an array mapping every
-    n-bit input to its orbit index.
+    i.e. the lexicographically minimal rotation) and a read-only array
+    mapping every n-bit input to its orbit index. Both are cached: the loop
+    runs over all 2^n inputs.
     """
     _check_arity(n)
     size = 1 << n
@@ -130,7 +132,18 @@ def necklaces(n: int) -> tuple[tuple[int, ...], np.ndarray]:
         while orbit[y] < 0:
             orbit[y] = rid
             y = ((y >> 1) | ((y & 1) << (n - 1))) & mask
+    orbit.flags.writeable = False  # shared by every later caller
     return tuple(reps), orbit
+
+
+def necklace_count(n: int) -> int:
+    """The number of binary necklaces of length n, (1/n) * sum over d | n of phi(d) * 2^(n/d)."""
+    _check_arity(n)
+    total = 0
+    for d in range(1, n + 1):
+        if n % d == 0:
+            total += sum(math.gcd(i, d) == 1 for i in range(1, d + 1)) << (n // d)
+    return total // n
 
 
 @dataclass(frozen=True)
@@ -171,7 +184,7 @@ class RotSymFunction:
     necklace_values: int
 
     def __post_init__(self):
-        if not 0 <= self.necklace_values < 1 << len(necklaces(self.n)[0]):
+        if not 0 <= self.necklace_values < 1 << necklace_count(self.n):
             raise ValueError("necklace values need exactly one bit per necklace")
 
     def expand(self) -> TruthTable:

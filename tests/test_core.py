@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -179,6 +183,20 @@ def test_walsh_matches_reference_butterfly(rng):
             assert np.array_equal(s.corr, reference_butterfly(t.signs()))
 
 
+@pytest.mark.parametrize("n", range(1, 25))
+def test_walsh_matches_reference_at_every_arity(rng, n):
+    # an affine table puts |c| = 2^n through one staged slot; its mask here mixes
+    # the rows of pass 1 and the columns of pass 2 (constant and parity tables are
+    # in test_walsh_largest_values_on_both_paths)
+    mask = rng.getrandbits(n) | 1 << (n - 1)
+    affine = TruthTable.from_array(np.bitwise_count(np.arange(1 << n) & mask) & 1, n)
+    for f, sign in ((affine, 1), (affine.complement(), -1)):
+        got = walsh_transform(f).corr
+        assert got[mask] == sign << n and np.count_nonzero(got) == 1, n
+    t = random_table(rng, n)
+    assert np.array_equal(walsh_transform(t).corr, reference_butterfly(t.signs())), n
+
+
 def test_gemm_all_small_tables_batched():
     for n in range(1, 5):
         ids = np.arange(1 << (1 << n), dtype=np.int64)
@@ -189,9 +207,9 @@ def test_gemm_all_small_tables_batched():
 
 
 def test_walsh_largest_values_on_both_paths():
-    # one to five blocks (n = 1..17), and n = 24, the last arity whose final block
-    # sums in float32
-    for n in [*range(1, 18), 20, 24]:
+    # one pass up to n = 14 and two above, up to n = 24, the last arity whose final
+    # block sums in float32
+    for n in range(1, 25):
         # the constant and parity tables reach |c| = 2^n, the largest correlation
         parity = TruthTable.from_array(popcounts(1 << n) & 1, n)
         for t, at in ((TruthTable(n, 0), 0), (parity, (1 << n) - 1)):
@@ -229,13 +247,21 @@ def test_block_widths_keep_float32_exact_before_the_last_block():
     for m in range(N_MAX + 1):
         widths = core._block_widths(m)
         assert sum(widths) == m and max(widths) <= 4
+        plan = core._plan(m)
+        assert plan.a + plan.b == m and 1 << plan.b <= core._CHUNK and (plan.a == 0 or plan.b == 14)
+        # pass 1 covers the a high bits, pass 2 the b low ones, the lowest block last
+        covered = [int(np.log2(len(h))) for h, _ in (*plan.high, *plan.low)]
+        k = len(plan.last).bit_length() - 1
+        assert sum(covered) + k == m and max(covered, default=0) <= 4 and k <= 4
         # the sums before the last block stay within 2^24, which float32 holds
-        assert m - widths[-1] <= core._F32_MAX_N
+        assert m - k <= core._F32_MAX_N
+        assert plan.last.dtype == (np.float32 if m <= core._F32_MAX_N else np.float64)
 
 
 @pytest.mark.parametrize("m", [1, 5, 9, 15, 16, 17, 21])
 def test_walsh_spectra_leaves_input_unchanged(rng, m):
-    # one to six blocks, so the last one reads either work buffer; float32 is the work dtype
+    # one pass or two, and the last block reading either half of a slot; float32 is the
+    # work dtype, so a float32 input must not be taken as the work buffer
     keep = random_table(rng, m).signs()
     for dtype in (np.int32, np.float32):
         signs = keep.astype(dtype)
@@ -283,6 +309,30 @@ def test_parseval_random(rng):
 def test_parseval_does_not_wrap():
     # 2^64 + 16 wraps to 16 = 4^2 in an int64 dot product
     assert not Spectrum(2, np.array([2**32, 0, 0, 4])).parseval_holds()
+    # np.abs(INT64_MIN) is INT64_MIN, and its square wraps to 0: 0 + 0 + 16 = 4^2
+    int64_min = np.iinfo(np.int64).min
+    assert not Spectrum(2, np.array([int64_min, 0, 0, 4])).parseval_holds()
+    assert not Spectrum(2, np.array([int64_min, int64_min, 0, 4])).parseval_holds()
+
+
+def test_parseval_matches_python_ints(rng):
+    # several 2^14-point blocks, |c| up to 2^n with negative values in the 16-bit split
+    def exact(corr):
+        return sum(c * c for c in corr.tolist()) == 4 ** (corr.size.bit_length() - 1)
+
+    n = 18
+    gen = np.random.default_rng(11)
+    bent = (1 << (n // 2)) * (1 - 2 * gen.integers(0, 2, 1 << n))
+    one_point = np.zeros(1 << n, dtype=np.int64)
+    one_point[-3] = -(1 << n)
+    for corr in (bent, -bent, one_point, walsh_transform(random_table(rng, n)).corr):
+        assert Spectrum(n, corr).parseval_holds() and exact(corr)
+        for at, delta in ((0, 2), (1 << 15, -2), (-1, 4)):
+            bad = corr.copy()
+            bad[at] += delta
+            assert Spectrum(n, bad).parseval_holds() == exact(bad)
+    # every |c| within 2^n, but the squares sum to 2^18 * 4^18
+    assert not Spectrum(n, np.full(1 << n, 1 << n)).parseval_holds()
 
 
 def test_max_corr_sq_reads_both_signs():
@@ -292,12 +342,36 @@ def test_max_corr_sq_reads_both_signs():
     assert Spectrum(2, np.array([np.iinfo(np.int64).min, 0, 0, 0])).max_corr_sq == 4**63
 
 
-@pytest.mark.parametrize("n", [20, 21])
+@pytest.mark.parametrize("n", [15, 20, 21, 22])
 def test_walsh_transform_peak_memory(rng, n):
-    # 8 bytes a point of result plus one float32 buffer. At n = 21 the operand is the
-    # spare buffer when the result is made (at n = 20 it is the live one), so a frame
-    # that still held it would keep a second buffer alive: 16 bytes a point.
-    assert traced_peak(walsh_transform, random_table(rng, n)) <= 12.5 * (1 << n)
+    # 8 bytes a point of result, an eighth of a byte of packed table, and scratch of
+    # a 64th of the result. n = 15 has two rows, and n = 22 the first panels too wide
+    # for the free halves of the rows. The first call fills the per-arity caches.
+    t = random_table(rng, n)
+    walsh_transform(t)
+    assert traced_peak(walsh_transform, t) <= 8.5 * (1 << n)
+
+
+_RSS_CHILD = """
+import random, resource
+from walshlab.core import TruthTable, walsh_transform
+walsh_transform(TruthTable(16, 1))  # loads BLAS and its buffers
+f = TruthTable(24, random.Random(5).getrandbits(1 << 24))
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+walsh_transform(f)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+"""
+
+
+def test_walsh_transform_peak_rss_n24():
+    # the resident peak, not only what tracemalloc sees: within 1.1x the 128 MiB result
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", _RSS_CHILD], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    grown_kib = int(done.stdout)
+    assert grown_kib <= 1.1 * (8 << 24) / 1024, grown_kib
 
 
 def test_butterfly_involution(rng):

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import struct
+import time
 import zlib
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from walshlab.search import (
     and_function,
     check_conjecture,
     expand_witness,
+    necklace_count,
     necklaces,
     sweep,
     sweep_rotsym,
@@ -65,6 +67,35 @@ def test_necklace_counts():
         assert len(reps) == expected
         assert orbit.min() == 0 and orbit.max() == len(reps) - 1
         assert list(reps) == sorted(reps)
+
+
+def test_necklace_count_formula():
+    for n in range(1, 17):
+        assert necklace_count(n) == len(necklaces(n)[0]), n
+
+
+def test_necklaces_are_cached_and_read_only():
+    reps, orbit = necklaces(6)
+    assert necklaces(6)[1] is orbit
+    with pytest.raises(ValueError):
+        orbit[0] = 1
+
+
+def test_rotsym_width_check_builds_no_table(monkeypatch):
+    # the width check at n = 28 used to loop over 2^28 inputs into a 2 GiB orbit array
+    import walshlab.search as search_module
+
+    def no_table(n):
+        raise AssertionError(f"necklaces({n}) called")
+
+    monkeypatch.setattr(search_module, "necklaces", no_table)
+    count = necklace_count(28)
+    start = time.perf_counter()
+    assert RotSymFunction(28, 0).n == 28
+    assert RotSymFunction(28, (1 << count) - 1).n == 28
+    with pytest.raises(ValueError, match="one bit per necklace"):
+        RotSymFunction(28, 1 << count)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_necklace_orbits_are_rotation_closed():

@@ -38,7 +38,6 @@ from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
-from mpmath.libmp import from_int, mpf_log, round_ceiling, round_floor
 
 from .core import _CHUNK, Spectrum, TruthTable, popcounts
 
@@ -210,6 +209,8 @@ def _start_prec(const: int, logs, den: int) -> int:
 @functools.lru_cache(maxsize=1 << 10)
 def _ln_bounds(p: int, prec: int) -> tuple[int, int]:
     """Integers (lo, hi) with lo <= 2^prec * ln p <= hi, from directed-rounding logs."""
+    from mpmath.libmp import from_int, mpf_log, round_ceiling, round_floor  # loaded on first use
+
     _, man, exp, _ = mpf_log(from_int(p), prec + 8, round_floor)
     lo = man << (exp + prec) if exp + prec >= 0 else man >> -(exp + prec)
     _, man, exp, _ = mpf_log(from_int(p), prec + 8, round_ceiling)

@@ -36,15 +36,17 @@ still the smallest ids overall. One helper (``_IdOrbits``) finds every
 family's representatives; it stores a group as two lookup tables per element
 over the halves of the id bits.
 
-Aggregation is associative and exact. Every ratio of a function is an exact
-``LogLinear`` key (K + sum of e_p * log2 p) / D with integers K, e_p, D, built
-from its squared correlations (|c| = 2^a * q, q odd): ``ei`` from all of them
-(``metrics.entropy_of_levels``), ``mei`` and ``ot1-mei`` from the largest. A
-key is the value ``metrics.classify`` reports, and a result's ``best_ratio``
-is the key itself. Maxima, ties, counts and witnesses are decided on these
-keys, so results are identical for every chunking and worker count. Float
-ratios only pick the candidate rows that get a key. A count threshold is
-rational, so a row with an irrational ratio never counts.
+Aggregation is one associative, exact fold. Every ratio of a function is an
+exact ``LogLinear`` key (K + sum of e_p * log2 p) / D with integers K, e_p, D,
+built from its squared correlations (|c| = 2^a * q, q odd): ``ei`` from all
+of them (``metrics.entropy_of_levels``), ``mei`` and ``ot1-mei`` from the
+largest. A key is the value ``metrics.classify`` reports, and a result's
+``best_ratio`` is the key itself. Float ratios only pick candidate rows, one
+window per target, and one builder (``_keys``) gives the candidates keys.
+One rule, ``_Agg.add``, then decides every outcome on keys: of a batch, of a
+sweep's chunks (here or from workers) and of checkpoint records. So results
+are identical for every chunking, worker count and resume point. A count
+threshold is rational, so a row with an irrational ratio never counts.
 """
 from __future__ import annotations
 
@@ -58,7 +60,6 @@ import re
 import struct
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
@@ -211,9 +212,13 @@ class _Filters:
 
 
 def _parse_filters(filters: tuple[str, ...]) -> _Filters:
+    """The filters of a job. Each is given at most once, with at most one resilience
+    order written without leading zeros, so that equal filter sets have equal digests."""
     balanced = plateaued = weight1 = False
     resilient: int | None = None
-    for f in filters:
+    for i, f in enumerate(filters):
+        if f in filters[:i]:
+            raise ValueError(f"filter {f!r} is given twice")
         if f == "balanced":
             balanced = True
         elif f == "plateaued":
@@ -222,8 +227,10 @@ def _parse_filters(filters: tuple[str, ...]) -> _Filters:
             weight1 = True
         elif f.startswith("resilient:"):
             order = f.split(":", 1)[1]
-            if not re.fullmatch("[0-9]+", order):
-                raise ValueError(f"filter {f!r}: the resilience order must be an integer >= 0")
+            if not re.fullmatch("0|[1-9][0-9]*", order):
+                raise ValueError(f"filter {f!r}: the order must be an integer >= 0, no leading zeros")
+            if resilient is not None:
+                raise ValueError(f"filter {f!r}: a job takes one resilience order, got resilient:{resilient}")
             resilient = int(order)
         else:
             raise ValueError(f"unknown filter {f!r}; known: {_KNOWN_FILTERS} and resilient:<t>")
@@ -257,6 +264,10 @@ class SearchJob:
         thr = self.threshold
         if thr is not None and (isinstance(thr, bool) or not isinstance(thr, (int, Fraction))):
             raise ValueError(f"threshold must be an int or a Fraction, got {thr!r}")
+        for name in ("n", "chunk_bits", "witness_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not 0 <= self.chunk_bits <= 16:
             raise ValueError("chunk_bits must be in [0, 16]")
         if self.witness_cap < 0:
@@ -339,13 +350,27 @@ def _ratio_key(
     return hmin / influence if metric == "mei" else hmin * 2 / influence**2
 
 
+def _keys(job: SearchJob, c2: np.ndarray, m_arr, inf_arr) -> tuple[list[LogLinear], np.ndarray]:
+    """The distinct exact keys of some kernel rows and, per row, the index of its key.
+
+    Each distinct (influence numerator, c^2 row or its largest entry) is keyed once.
+    """
+    data = np.column_stack([inf_arr, c2 if job.metric == "ei" else m_arr])
+    index: dict[tuple[int, ...], int] = {}
+    inverse = np.array([index.setdefault(tuple(row), len(index)) for row in data.tolist()])
+    sizes = tuple(_kernel(job.family, job.n).sizes.tolist())
+    keys: dict[LogLinear, int] = {}
+    key_of = [keys.setdefault(_ratio_key(job.metric, job.n, r[0], r[1:], sizes), len(keys)) for r in index]
+    return list(keys), np.array(key_of)[inverse]
+
+
 def _function_key(job: SearchJob, fid: int) -> tuple[int, int, LogLinear]:
     """(largest c^2, influence numerator, exact ratio) of function ``fid`` of the job's family."""
     kernel = _kernel(job.family, job.n)
-    c2 = kernel.spectra(np.array([fid], dtype=np.int64))[0] ** 2
-    m, inf = int(c2.max()), int(c2 @ (kernel.weights * kernel.sizes))
-    row = tuple(c2.tolist()) if job.metric == "ei" else (m,)
-    return m, inf, _ratio_key(job.metric, job.n, inf, row, tuple(kernel.sizes.tolist()))
+    c2 = kernel.spectra(np.array([fid], dtype=np.int64)) ** 2
+    m, inf = c2.max(axis=1), c2 @ kernel.influence
+    (key,), _ = _keys(job, c2, m, inf)
+    return int(m[0]), int(inf[0]), key
 
 
 # --- Aggregation -----------------------------------------------------------------
@@ -363,96 +388,61 @@ class _Agg:
     balanced: int = 0
     witnesses: list[int] = field(default_factory=list)
 
-    def _add_witnesses(self, ids: np.ndarray | list[int]) -> None:
-        cap = self.job.witness_cap
-        fresh = np.unique(np.asarray(ids, dtype=np.int64))[:cap].tolist()
-        self.witnesses = sorted(set(self.witnesses).union(fresh))[:cap]
-
-    def update(
-        self,
-        ids: np.ndarray,
-        sizes: np.ndarray,
-        m_arr: np.ndarray,
-        inf_arr: np.ndarray,
-        c2: np.ndarray,
-        val: np.ndarray,
-        scanned: int,
-        orbit_ids: Callable[[np.ndarray], np.ndarray],
-    ) -> None:
-        """Fold in one batch of rows.
-
-        ``val`` holds the float ratios, which only pick candidate rows; ``c2``
-        the squared correlations the exact keys are built from (column 0 is
-        the point 0, so it is zero exactly on the balanced rows). Row i
-        stands for ``sizes[i]`` functions with the same metric values and the
-        same balancedness; ``orbit_ids`` maps achieving ids to all of those
-        functions, so the witnesses stay the smallest ids overall.
+    def add(self, key: LogLinear | None, first_id: int, count: int, balanced: int, witnesses) -> None:
+        """Fold in ``count`` functions at exact key ``key``, ``balanced`` of them
+        balanced, ``witnesses`` ids among them and ``first_id`` first in scan
+        order. The one rule deciding outcomes: a count keeps them at its
+        threshold (key None: a count chunk's outcome, already decided); a
+        maximization keeps them at its best and restarts from them at a larger key.
         """
-        self.scanned += scanned
-        if ids.size == 0:
-            return
         if self.job.target == "count":
-            rows = self._count_rows(m_arr, inf_arr, c2, val)
-        else:
-            rows = self._max_rows(ids, m_arr, inf_arr, c2, val)
-        if rows is None or rows.size == 0:
-            return
-        self.count += int(sizes[rows].sum())
-        self.balanced += int(sizes[rows] @ (c2[rows, 0] == 0))
-        if self.job.witness_cap:
-            self._add_witnesses(orbit_ids(ids[rows]))
-
-    def _keys(self, rows, m_arr, inf_arr, c2) -> tuple[list[LogLinear], np.ndarray]:
-        """The distinct exact keys of ``rows`` and, per row, the index of its key."""
-        job = self.job
-        data = np.column_stack([inf_arr[rows], c2[rows] if job.metric == "ei" else m_arr[rows]])
-        index: dict[tuple[int, ...], int] = {}
-        inverse = np.array([index.setdefault(tuple(row), len(index)) for row in data.tolist()])
-        sizes = tuple(_kernel(job.family, job.n).sizes.tolist())
-        return [_ratio_key(job.metric, job.n, row[0], row[1:], sizes) for row in index], inverse
-
-    def _count_rows(self, m_arr, inf_arr, c2, val) -> np.ndarray:
-        thr = self.job.threshold
-        cand = np.nonzero(np.abs(val - float(thr)) <= _FLOAT_TOL)[0]
-        if cand.size == 0:
-            return cand
-        keys, inverse = self._keys(cand, m_arr, inf_arr, c2)
-        return cand[np.array([k.rational == thr for k in keys])[inverse]]
-
-    def _max_rows(self, ids, m_arr, inf_arr, c2, val) -> np.ndarray | None:
-        """Rows at the running maximum after this batch (resetting it when beaten)."""
-        mx = float(val.max())
-        if not math.isfinite(mx):
-            return None  # only ratio-less (constant) functions in this batch
-        floor = mx if self.best is None else max(mx, self.best.value)
-        cand = np.nonzero(val >= floor - _FLOAT_TOL)[0]
-        if cand.size == 0:
-            return None
-        keys, inverse = self._keys(cand, m_arr, inf_arr, c2)
-        top = max(keys)
-        rel = 1 if self.best is None else top.compare(self.best)
-        if rel < 0:
-            return None
-        rows = cand[np.array([k == top for k in keys])[inverse]]
-        if rel > 0:
-            self.best, self.best_id = top, int(ids[rows[0]])
-            self.count, self.balanced, self.witnesses = 0, 0, []
-        return rows
-
-    def merge(self, other: "_Agg") -> None:
-        self.scanned += other.scanned
-        if self.job.target == "maximize":
-            if other.best is None:
+            if key is not None and key.rational != self.job.threshold:
                 return
-            rel = 1 if self.best is None else other.best.compare(self.best)
+        else:
+            rel = 1 if self.best is None else key.compare(self.best)
             if rel < 0:
                 return
             if rel > 0:
-                self.best, self.best_id = other.best, other.best_id
+                self.best, self.best_id = key, first_id
                 self.count, self.balanced, self.witnesses = 0, 0, []
-        self.count += other.count
-        self.balanced += other.balanced
-        self._add_witnesses(other.witnesses)
+        self.count += count
+        self.balanced += balanced
+        cap = self.job.witness_cap
+        fresh = np.unique(np.asarray(witnesses, dtype=np.int64))[:cap].tolist()
+        self.witnesses = sorted(set(self.witnesses).union(fresh))[:cap]
+
+    def update(self, ids, sizes, c2, m_arr, inf_arr, val, orbit_ids: Callable) -> None:
+        """Fold in one batch of kernel rows.
+
+        The float ratios ``val`` pick candidates, one window per target:
+        [floor - tol, inf) to maximize, floor the larger of the batch's and the
+        best's float, and threshold +- tol to count. ``c2`` holds the squared
+        correlations (column 0 is zero exactly on balanced rows). Row i stands
+        for ``sizes[i]`` functions with equal metric values and balancedness;
+        ``orbit_ids`` maps ids to all of them, so witnesses stay the smallest ids.
+        """
+        if self.job.target == "count":
+            cand = np.nonzero(np.abs(val - float(self.job.threshold)) <= _FLOAT_TOL)[0]
+        else:
+            floor = val.max(initial=-math.inf)
+            if self.best is not None:
+                floor = max(floor, self.best.value)
+            if floor == -math.inf:
+                return  # no ratio here: no rows, or constant functions only
+            cand = np.nonzero(val >= floor - _FLOAT_TOL)[0]
+        if cand.size == 0:
+            return
+        keys, inverse = _keys(self.job, c2[cand], m_arr[cand], inf_arr[cand])
+        for j, key in enumerate(keys):
+            rows = cand[inverse == j]
+            witnesses = orbit_ids(ids[rows]) if self.job.witness_cap else ()
+            balanced = int(sizes[rows] @ (c2[rows, 0] == 0))
+            self.add(key, int(ids[rows[0]]), int(sizes[rows].sum()), balanced, witnesses)
+
+    def merge(self, other: "_Agg") -> None:
+        self.scanned += other.scanned
+        if other.best is not None or self.job.target == "count":
+            self.add(other.best, other.best_id, other.count, other.balanced, other.witnesses)
 
 
 # --- Evaluation kernels -----------------------------------------------------------
@@ -523,10 +513,17 @@ class _Kernel:
 
     sizes: np.ndarray  # spectral points per column
     weights: np.ndarray  # Hamming weight shared by a column's points
+    influence: np.ndarray  # sizes * weights: c^2 @ influence is the influence numerator
     orbits: _IdOrbits  # work-unit orbits: low halves (general) or functions
     split: int  # id bits that index ``lo``; the higher ones index ``hi``
     lo: np.ndarray
     hi: np.ndarray
+    space: int  # functions in the family: one id bit per column
+    unit_rows: int  # functions per member of a work unit's orbit: every high half (general), else 1
+
+    def functions(self, first: int, last: int) -> int:
+        """Functions in work units first..last-1, every member of their orbits."""
+        return self.unit_rows * int(self.orbits.sizes[first:last].sum())
 
     def spectra(self, ids: np.ndarray) -> np.ndarray:
         """Correlations of functions ``ids``, one column per point class."""
@@ -605,7 +602,9 @@ def _kernel(family: str, n: int) -> _Kernel:
     split = reps.size // 2
     lo, hi = (_signed_sums(part, dtype) for part in (M[:split], M[split:]))
     sizes = np.bincount(orbit, minlength=reps.size).astype(dtype)
-    return _Kernel(sizes, wt[reps].astype(dtype), _id_orbits(maps), split, lo, hi)
+    weights, orbits = wt[reps].astype(dtype), _id_orbits(maps)
+    space = 1 << reps.size
+    return _Kernel(sizes, weights, sizes * weights, orbits, split, lo, hi, space, space >> orbits.bits)
 
 
 def _entropy_rows(c2: np.ndarray, n: int, sizes: np.ndarray) -> np.ndarray:
@@ -645,54 +644,30 @@ def _metric_values(metric: str, c2, m_arr, inf_arr, n: int, sizes: np.ndarray) -
     return val
 
 
-def _eval_chunk(job: SearchJob, first: int, last: int, agg: _Agg) -> None:
-    """Scan work units first..last-1, in batches of about ``_BATCH_CELLS`` cells."""
+def _chunk_ranges(job: SearchJob) -> list[tuple[int, int]]:
+    units = _kernel(job.family, job.n).orbits.reps.size
+    chunks = min(1 << job.chunk_bits, units)
+    return [(units * i // chunks, units * (i + 1) // chunks) for i in range(chunks)]
+
+
+def _run_chunk(job: SearchJob, first: int, last: int) -> _Agg:
+    """The outcome of work units first..last-1, scanned in batches of about ``_BATCH_CELLS`` cells."""
     kernel = _kernel(job.family, job.n)
     spec = job.parsed_filters
-    influence_cols = kernel.sizes * kernel.weights
-    unit_rows = _unit_rows(job)
-    step = max(1, _BATCH_CELLS // (unit_rows * kernel.sizes.size))
+    agg = _Agg(job, scanned=kernel.functions(first, last))
+    step = max(1, _BATCH_CELLS // (kernel.unit_rows * kernel.sizes.size))
     for start in range(first, last, step):
-        stop = min(start + step, last)
-        ids, sizes, c2 = kernel.units(start, stop, spec.balanced)
+        ids, sizes, c2 = kernel.units(start, min(start + step, last), spec.balanced)
         np.multiply(c2, c2, out=c2)
         m_arr = c2.max(axis=1)
-        inf_arr = c2 @ influence_cols
+        inf_arr = c2 @ kernel.influence
         if job.filters:
             keep = np.nonzero(_filter_rows(c2, m_arr, kernel.weights, spec))[0]
             ids, sizes, c2, m_arr, inf_arr = (
                 ids[keep], sizes[keep], c2[keep], m_arr[keep], inf_arr[keep],
             )
         val = _metric_values(job.metric, c2, m_arr, inf_arr, job.n, kernel.sizes)
-        scanned = unit_rows * int(kernel.orbits.sizes[start:stop].sum())
-        agg.update(ids, sizes, m_arr, inf_arr, c2, val, scanned, kernel.orbit_ids)
-
-
-def _unit_count(job: SearchJob) -> int:
-    """Work units of the job: the orbit representatives of its family's kernel."""
-    return int(_kernel(job.family, job.n).orbits.reps.size)
-
-
-def _space_size(job: SearchJob) -> int:
-    """Functions in the job's family at its arity: one id bit per kernel column."""
-    return 1 << int(_kernel(job.family, job.n).sizes.size)
-
-
-def _unit_rows(job: SearchJob) -> int:
-    """Functions per member of a work unit's orbit: every high half (general), else 1."""
-    return _space_size(job) // int(_kernel(job.family, job.n).orbits.sizes.sum())
-
-
-def _chunk_ranges(job: SearchJob) -> list[tuple[int, int]]:
-    units = _unit_count(job)
-    chunks = min(1 << job.chunk_bits, units)
-    bounds = [units * i // chunks for i in range(chunks + 1)]
-    return [(bounds[i], bounds[i + 1]) for i in range(chunks)]
-
-
-def _run_chunk(job: SearchJob, chunk_idx: int) -> _Agg:
-    agg = _Agg(job)
-    _eval_chunk(job, *_chunk_ranges(job)[chunk_idx], agg)
+        agg.update(ids, sizes, c2, m_arr, inf_arr, val, kernel.orbit_ids)
     return agg
 
 
@@ -740,8 +715,9 @@ def _load_checkpoint(path: str, job: SearchJob) -> tuple[dict[int, _Agg], int]:
     chunk id, best id, witness id or witness count outside the job's range
     raises ``CheckpointError``. So do counts that do not fit the chunk: its
     scanned count must equal the functions in its units, and count <=
-    scanned, balanced <= count and witnesses <= count. The key of each record
-    is rebuilt from its best id.
+    scanned, balanced <= count and witnesses <= count. A maximization's record
+    has a best id exactly when its count is nonzero, and a count's never. The
+    key of each record is rebuilt from its best id.
     """
     body = _record_struct(job.witness_cap)
     size = body.size + _CKPT_CRC.size
@@ -763,8 +739,7 @@ def _load_checkpoint(path: str, job: SearchJob) -> tuple[dict[int, _Agg], int]:
         if digest != job.digest():
             raise CheckpointError(f"{path}: checkpoint belongs to a different job")
         data = fh.read()
-    ranges, space = _chunk_ranges(job), _space_size(job)
-    orbit_sizes, unit_rows = _kernel(job.family, job.n).orbits.sizes, _unit_rows(job)
+    kernel, ranges = _kernel(job.family, job.n), _chunk_ranges(job)
     done: dict[int, _Agg] = {}
     for start in range(0, len(data), size):
         blob = data[start : start + size]
@@ -778,22 +753,23 @@ def _load_checkpoint(path: str, job: SearchJob) -> tuple[dict[int, _Agg], int]:
             raise CheckpointError(f"{where} is recorded twice")
         if chunk_idx >= len(ranges):
             raise CheckpointError(f"{where} is outside the job's {len(ranges)} chunks")
-        first, last = ranges[chunk_idx]
-        functions = unit_rows * int(orbit_sizes[first:last].sum())
+        functions = kernel.functions(*ranges[chunk_idx])
         if scanned != functions:
             raise CheckpointError(f"{where} records {scanned} functions scanned; its units hold {functions}")
         if count > scanned:
             raise CheckpointError(f"{where} counts {count} functions, above the {scanned} it scanned")
         if balanced > count:
             raise CheckpointError(f"{where} counts {balanced} balanced functions, above its count {count}")
-        if not -1 <= best_id < space:
-            raise CheckpointError(f"{where} has best id {best_id} outside [-1, {space})")
+        if not -1 <= best_id < kernel.space:
+            raise CheckpointError(f"{where} has best id {best_id} outside [-1, {kernel.space})")
         if nwit > job.witness_cap:
             raise CheckpointError(f"{where} has {nwit} witnesses, above the cap {job.witness_cap}")
         if nwit > count:
             raise CheckpointError(f"{where} has {nwit} witnesses, above its count {count}")
-        if any(w >= space for w in wit[:nwit]):
-            raise CheckpointError(f"{where} has a witness id outside [0, {space})")
+        if any(w >= kernel.space for w in wit[:nwit]):
+            raise CheckpointError(f"{where} has a witness id outside [0, {kernel.space})")
+        if (best_id >= 0) != (job.target == "maximize" and count > 0):
+            raise CheckpointError(f"{where} has best id {best_id} with count {count}, against its target")
         best = _function_key(job, best_id)[2] if best_id >= 0 else None
         done[chunk_idx] = _Agg(
             job, scanned, best, best_id, count=count, balanced=balanced, witnesses=wit[:nwit]
@@ -833,14 +809,18 @@ def check_threads(threads: int | None) -> None:
         raise ValueError(f"threads must be >= 1 (or None for every core), got {threads}")
 
 
-def _run_chunks(job: SearchJob, pending: list[int], threads: int) -> Iterator[tuple[int, _Agg]]:
-    """(chunk index, outcome) of each pending chunk, in order here or as pool workers finish."""
-    if threads == 1 or len(pending) <= 1 or _space_size(job) < _POOL_MIN_FUNCTIONS:
-        for i in pending:
-            yield i, _run_chunk(job, i)
+def _run_chunks(
+    job: SearchJob, pending: dict[int, tuple[int, int]], threads: int
+) -> Iterator[tuple[int, _Agg]]:
+    """(index, outcome) of each pending chunk (index -> unit range), in order here or as workers finish."""
+    if threads == 1 or len(pending) <= 1 or _kernel(job.family, job.n).space < _POOL_MIN_FUNCTIONS:
+        for i, units in pending.items():
+            yield i, _run_chunk(job, *units)
         return
+    from concurrent.futures import ProcessPoolExecutor, as_completed  # only a pool needs it
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(_run_chunk, job, i): i for i in pending}
+        futures = {pool.submit(_run_chunk, job, *units): i for i, units in pending.items()}
         for fut in as_completed(futures):
             yield futures[fut], fut.result()
 
@@ -879,7 +859,7 @@ def sweep(
             ckpt_fh = open(ckpt_path, "wb")
             _write_synced(ckpt_fh, _header(job))
     resumed = len(done)
-    pending = [i for i in range(len(ranges)) if i not in done]
+    pending = {i: units for i, units in enumerate(ranges) if i not in done}
     if threads is None:
         threads = os.cpu_count() or 1
     try:
@@ -946,19 +926,15 @@ def check_conjecture(ns: Iterable[int]) -> list[ConjectureCheck]:
 def _check_one(n: int) -> ConjectureCheck:
     ids = np.arange(1 << (n + 1), dtype=np.int64)
     c2 = _kernel("symmetric", n).spectra(ids) ** 2
-    top = {}
-    for metric in ("ei", "mei"):
-        job = SearchJob("symmetric", n, metric, witness_cap=ids.size)
-        top[metric] = agg = _Agg(job)
-        _eval_chunk(job, 0, _unit_count(job), agg)
+    jobs = [SearchJob("symmetric", n, metric, chunk_bits=0, witness_cap=ids.size) for metric in ("ei", "mei")]
+    ei, mei = (_run_chunk(job, *_chunk_ranges(job)[0]) for job in jobs)  # each job's one chunk
     and_id = and_function(n).value_vector
-    and_key = _function_key(top["ei"].job, and_id)[2]
+    and_key = _function_key(ei.job, and_id)[2]
     and_below_4 = and_key < LogLinear.from_fraction(4)
     # every achiever must share the conjunction's squared spectrum
-    strangers = [w for w in top["ei"].witnesses if not np.array_equal(c2[w], c2[and_id])]
+    strangers = [w for w in ei.witnesses if not np.array_equal(c2[w], c2[and_id])]
     # the min-entropy maximum is exactly 2 at the bent functions (even n), else below 2
     bent = np.flatnonzero((c2 == 1 << n).all(axis=1)).tolist()
-    mei = top["mei"]
     two = LogLinear.from_fraction(2)
     mei_part = mei.best == two and mei.witnesses == bent if bent else mei.best < two
     bad = strangers[:1] if mei_part else sorted(set(mei.witnesses) - set(bent))[:1]
@@ -967,8 +943,8 @@ def _check_one(n: int) -> ConjectureCheck:
         n=n,
         and_ei_ratio=and_key,
         and_ratio_below_4=and_below_4,
-        ei_max=top["ei"].best,
-        ei_achievers=top["ei"].count,
+        ei_max=ei.best,
+        ei_achievers=ei.count,
         ei_achievers_conjugate_to_and=not strangers,
         mei_max=mei.best,
         mei_claim_holds=mei_part,

@@ -242,6 +242,11 @@ def test_search_bad_resilience_order(capsys):
     )
     assert code == 2
     assert "resilient:" in err
+    # filters are parsed strictly: one spelling and one order per job
+    for filters in (["resilient:01"], ["resilient:1", "resilient:2"], ["balanced", "balanced"]):
+        args = [a for f in filters for a in ("--filter", f)]
+        code, out, err = run_cli(capsys, "search", "general", "--n", "3", *args, "--threads", "1")
+        assert code == 2 and out == "" and filters[-1] in err
 
 
 @pytest.mark.parametrize(

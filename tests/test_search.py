@@ -1,7 +1,11 @@
+import dataclasses
 import math
+import os
 import random
 import re
 import struct
+import subprocess
+import sys
 import time
 import zlib
 from fractions import Fraction
@@ -326,6 +330,20 @@ def test_job_validation():
         SearchJob("general", 3, target="count")  # needs a threshold
     with pytest.raises(ValueError):
         SearchJob("general", 3, filters=("shiny",))
+    # strict parsing: equal filter sets must have one spelling, hence one digest
+    for filters, match in [
+        (("balanced", "balanced"), "'balanced' is given twice"),
+        (("resilient:1", "resilient:2"), "one resilience order, got resilient:1"),
+        (("resilient:01",), "no leading zeros"),
+        (("resilient:00",), "no leading zeros"),
+        (("resilient:1", "resilient:1"), "given twice"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            SearchJob("general", 3, filters=filters)
+    for field, value in [("n", True), ("n", 3.0), ("chunk_bits", 2.5), ("chunk_bits", False),
+                         ("witness_cap", 1.0), ("witness_cap", True), ("n", "3")]:
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            SearchJob(**{"family": "general", "n": 3, field: value})
     with pytest.raises(SweepBoundError):
         sweep_symmetric(17, "mei")
     assert sweep_symmetric(16, "mei").best_ratio.rational == 2
@@ -354,6 +372,11 @@ def test_job_digest_changes_with_fields():
     b = SearchJob("general", 3, metric="ei")
     assert a.digest() != b.digest()
     assert a.digest() == SearchJob("general", 3).digest()
+    # valid jobs keep the digests of earlier builds, so their checkpoints still resume
+    resilient = SearchJob("general", 3, filters=("resilient:1", "balanced"))
+    assert resilient.digest().hex() == "23abbbc8785fa3adf9b6cbb2355373c1"
+    ot1 = SearchJob("general", 4, "ot1-mei", ("weight1-max-walsh", "balanced"), target="count", threshold=3)
+    assert ot1.digest().hex() == "96c076b36f477037a93e53c9818d340b"
 
 
 # --- engine vs naive oracle ---------------------------------------------------------
@@ -599,30 +622,51 @@ def test_rotsym_published_maxima_achievers(threads, chunk_bits):
 # --- determinism ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("chunk_bits", [0, 2, 3, 5, 6])
+# general n=4: the mei maximum and two count jobs, whose chunks carry no key
+BW = ("balanced", "weight1-max-walsh")
+DETERMINISM_JOBS = [
+    (SearchJob("general", 4, metric="mei"), 944),
+    (SearchJob("general", 4, metric="mei", target="count", threshold=2), 944),
+    (SearchJob("general", 4, "ot1-mei", BW, target="count", threshold=Fraction(16, 9)), 320),
+]
+
+
+@pytest.mark.parametrize("chunk_bits", range(7))
 @pytest.mark.parametrize("threads", [1, 2])
 def test_determinism(chunk_bits, threads, monkeypatch):
     import walshlab.search as search_mod
 
     monkeypatch.setattr(search_mod, "_POOL_MIN_FUNCTIONS", 0)  # threads=2 runs a worker pool
-    base = sweep(SearchJob("general", 4, metric="mei", chunk_bits=4), threads=1)
-    other = sweep(SearchJob("general", 4, metric="mei", chunk_bits=chunk_bits), threads=threads)
-    a, b = search_result_canonical(base), search_result_canonical(other)
-    a["job"].pop("chunk_bits")
-    b["job"].pop("chunk_bits")
-    assert a == b
+    for job, total in DETERMINISM_JOBS:
+        base = sweep(dataclasses.replace(job, chunk_bits=4), threads=1)
+        other = sweep(dataclasses.replace(job, chunk_bits=chunk_bits), threads=threads)
+        assert other.witness_total == total
+        a, b = search_result_canonical(base), search_result_canonical(other)
+        a["job"].pop("chunk_bits")
+        b["job"].pop("chunk_bits")
+        assert a == b
 
 
 def test_small_sweeps_run_in_process(monkeypatch):
-    import walshlab.search as search_mod
+    import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started for a small sweep")
 
-    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     job = SearchJob("rotsym", 7, metric="mei")
     two = search_result_canonical(sweep(job, threads=2))
     assert two == search_result_canonical(sweep(job, threads=1))
+
+
+def test_import_loads_no_pool_or_mpmath():
+    # both load on first use: a worker pool only for a large sweep, mpmath only
+    # for the float of an irrational key
+    code = "import sys, walshlab; print([m for m in ('mpmath', 'concurrent.futures.process') if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_determinism_ei_metric():
@@ -644,11 +688,11 @@ def _crash_after(job: SearchJob, chunks: int, monkeypatch) -> None:
     original = search_mod._run_chunk
     calls = {"n": 0}
 
-    def flaky(j, idx):
+    def flaky(*args):
         calls["n"] += 1
         if calls["n"] > chunks:
             raise RuntimeError("simulated crash")
-        return original(j, idx)
+        return original(*args)
 
     monkeypatch.setattr(search_mod, "_run_chunk", flaky)
     with pytest.raises(RuntimeError):
@@ -657,14 +701,14 @@ def _crash_after(job: SearchJob, chunks: int, monkeypatch) -> None:
 
 
 def test_checkpoint_resume(tmp_path, monkeypatch):
-    path = str(tmp_path / "sweep.ck")
-    job = SearchJob("general", 4, metric="mei", chunk_bits=3, checkpoint_path=path)
-    _crash_after(job, 3, monkeypatch)
-    resumed = sweep(job, threads=1)
-    assert resumed.resumed_chunks == 3
-    plain = sweep(SearchJob("general", 4, metric="mei", chunk_bits=3), threads=1)
-    a, b = search_result_canonical(resumed), search_result_canonical(plain)
-    assert a == b
+    for i, (plain_job, total) in enumerate(DETERMINISM_JOBS):
+        job = dataclasses.replace(plain_job, chunk_bits=3, checkpoint_path=str(tmp_path / f"{i}.ck"))
+        _crash_after(job, 3, monkeypatch)
+        resumed = sweep(job, threads=1)
+        assert resumed.resumed_chunks == 3 and resumed.witness_total == total
+        plain = sweep(dataclasses.replace(plain_job, chunk_bits=3), threads=1)
+        a, b = search_result_canonical(resumed), search_result_canonical(plain)
+        assert a == b
 
 
 @pytest.mark.parametrize("family, n", [("general", 4), ("rotsym", 6)])
@@ -745,10 +789,11 @@ def test_checkpoint_duplicate_chunk_rejected(tmp_path):
         (0, "<Q", 99, "chunk 99 is outside the job's 8 chunks"),
         (16, "<q", 1 << 40, r"best id 1099511627776 outside \[-1, 65536\)"),
         (16, "<q", -2, r"best id -2 outside \[-1, 65536\)"),
+        (16, "<q", -1, "best id -1 with count [1-9][0-9]*, against its target"),
         (48, "<Q", 1 << 16, r"a witness id outside \[0, 65536\)"),
         (40, "<Q", 17, "17 witnesses, above the cap 16"),
     ],
-    ids=["chunk", "best-high", "best-low", "witness", "witness-count"],
+    ids=["chunk", "best-high", "best-low", "best-missing", "witness", "witness-count"],
 )
 def test_checkpoint_record_out_of_range(tmp_path, offset, fmt, value, match):
     # a record with a valid CRC is still outside input: every field must fit the job
@@ -770,8 +815,9 @@ def test_checkpoint_record_out_of_range(tmp_path, offset, fmt, value, match):
         ({24: 1 << 40}, "counts 1099511627776 functions, above the [0-9]+ it scanned"),
         ({32: 1 << 40}, "counts 1099511627776 balanced functions, above its count"),
         ({24: 0, 32: 0}, "witnesses, above its count 0"),
+        ({24: 0, 32: 0, 40: 0}, "best id [0-9]+ with count 0, against its target"),
     ],
-    ids=["scanned", "count", "balanced", "witnesses"],
+    ids=["scanned", "count", "balanced", "witnesses", "best-without-count"],
 )
 def test_checkpoint_record_counts_must_fit_chunk(tmp_path, fields, match):
     # a record with a valid CRC that claimed 10^12 functions scanned used to
@@ -803,15 +849,49 @@ FORMAT5_EI_N3 = bytes.fromhex(
 )
 
 
+# A finished general n=3 mei count at 4/3 (chunk_bits 2, witness cap 2) from the
+# format 5 writer as it was before one rule folded every sweep outcome. Every
+# record has best id -1 and a nonzero count; the last chunk holds the smallest
+# witnesses.
+FORMAT5_COUNT_N3 = bytes.fromhex(
+    "574c53574545503105000000020000004400000000000000aafdb4ed56b44ca1bb5e1ad5287eaa2400000000"
+    "000000002000000000000000ffffffffffffffff040000000000000000000000000000000200000000000000"
+    "60000000000000006f000000000000009d70513901000000000000008000000000000000ffffffffffffffff"
+    "300000000000000018000000000000000200000000000000120000000000000014000000000000007ff24de2"
+    "02000000000000004000000000000000ffffffffffffffff0800000000000000080000000000000002000000"
+    "0000000035000000000000003a00000000000000f4a9aa1603000000000000002000000000000000ffffffff"
+    "ffffffff04000000000000000000000000000000020000000000000006000000000000000900000000000000"
+    "3c4d2b0f"
+)
+
+
 def test_checkpoint_format5_file_resumes(tmp_path):
-    path = tmp_path / "ei.ck"
-    path.write_bytes(FORMAT5_EI_N3)
-    job = SearchJob("general", 3, "ei", chunk_bits=2, witness_cap=2, checkpoint_path=str(path))
-    resumed = sweep(job, threads=1)
-    assert resumed.resumed_chunks == 4 and path.read_bytes() == FORMAT5_EI_N3
-    fresh = sweep(SearchJob("general", 3, "ei", chunk_bits=2, witness_cap=2), threads=1)
-    assert search_result_canonical(resumed) == search_result_canonical(fresh)
-    assert resumed.best_ratio.rational is None and resumed.witness_total == 16
+    ei = SearchJob("general", 3, "ei", chunk_bits=2, witness_cap=2)
+    count = SearchJob("general", 3, "mei", target="count", threshold=Fraction(4, 3), chunk_bits=2, witness_cap=2)
+    resumed = {}
+    for job, data in ((ei, FORMAT5_EI_N3), (count, FORMAT5_COUNT_N3)):
+        path = tmp_path / f"{job.target}.ck"
+        path.write_bytes(data)
+        resumed[job.target] = r = sweep(dataclasses.replace(job, checkpoint_path=str(path)), threads=1)
+        assert r.resumed_chunks == 4 and path.read_bytes() == data
+        assert search_result_canonical(r) == search_result_canonical(sweep(job, threads=1))
+    ei_max, counted = resumed["maximize"], resumed["count"]
+    assert ei_max.best_ratio.rational is None and ei_max.witness_total == 16
+    assert counted.count_achieving == 64 and counted.balanced_at_best == 32
+    assert counted.best_ratio is None and counted.witnesses == ("06", "09")
+
+
+def test_checkpoint_count_record_with_best_id_rejected(tmp_path):
+    # a count record has no key: a best id there would be compared with the threshold
+    path = tmp_path / "count.ck"
+    data = bytearray(FORMAT5_COUNT_N3)
+    record = memoryview(data)[_CKPT_HEADER.size : _CKPT_HEADER.size + 68]
+    struct.pack_into("<q", record, 16, 5)
+    struct.pack_into("<I", record, 64, zlib.crc32(record[:-4]))
+    path.write_bytes(bytes(data))
+    job = SearchJob("general", 3, "mei", target="count", threshold=Fraction(4, 3), chunk_bits=2, witness_cap=2)
+    with pytest.raises(CheckpointError, match="chunk 0 has best id 5 with count 4, against its target"):
+        sweep(dataclasses.replace(job, checkpoint_path=str(path)), threads=1)
 
 
 def test_checkpoint_corruption(tmp_path):

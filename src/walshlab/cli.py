@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from . import construct, report, search
-from .core import AnfParseError, DenseCapExceeded, TruthTable, table_from_anf, walsh_transform
+from .core import TruthTable, table_from_anf, walsh_transform
 from .metrics import classify
 
 
@@ -20,56 +20,55 @@ class InputError(ValueError):
     pass
 
 
-def _function_from_file(path: str) -> TruthTable:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise InputError(f"{path}: expected a JSON object")
-    n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"{path}: missing integer field 'n'")
-    for field, parse in (("tt", TruthTable.from_hex), ("anf", table_from_anf)):
-        if field in doc:
-            if not isinstance(doc[field], str):
-                raise InputError(f"{path}: field {field!r} must be a string")
-            return parse(doc[field], n)
-    raise InputError(f"{path}: expected a 'tt' or 'anf' field")
+def _read_function(src: str, n: int | None) -> TruthTable:
+    """Read a function source: a hex truth table, ``anf:EXPR`` or ``@file.json``.
 
-
-def _function_from_args(args) -> TruthTable:
-    sources = [s for s in (args.tt, args.anf, getattr(args, "file", None)) if s is not None]
-    if len(sources) != 1:
-        raise InputError("exactly one of --tt, --anf, --file is required")
-    if args.file is not None:
-        return _function_from_file(args.file)
-    if args.n is None:
-        raise InputError("--n is required with --tt or --anf")
-    if args.tt is not None:
-        return TruthTable.from_hex(args.tt, args.n)
-    return table_from_anf(args.anf, args.n)
-
-
-def _function_from_source(src: str, n: int | None) -> TruthTable:
+    Hex and ANF sources need ``n``. A file holds an integer field 'n' and
+    exactly one of the string fields 'tt' (hex) and 'anf'; an ``n`` given
+    with a file must equal the file's.
+    """
+    kind, text = ("anf", src[4:]) if src.startswith("anf:") else ("tt", src)
     if src.startswith("@"):
-        return _function_from_file(src[1:])
-    if src.startswith("anf:"):
-        if n is None:
-            raise InputError("--n is required with an anf: source")
-        return table_from_anf(src[4:], n)
+        path = src[1:]
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise InputError(f"{path}: expected a JSON object")
+        fields = [f for f in ("tt", "anf") if f in doc]
+        if len(fields) != 1:
+            raise InputError(f"{path}: expected exactly one of the fields 'tt' and 'anf'")
+        kind, text, file_n = fields[0], doc[fields[0]], doc.get("n")
+        if not isinstance(file_n, int) or isinstance(file_n, bool):
+            raise InputError(f"{path}: missing integer field 'n'")
+        if not isinstance(text, str):
+            raise InputError(f"{path}: field {kind!r} must be a string")
+        if n is not None and n != file_n:
+            raise InputError(f"{path}: --n {n} disagrees with the file's n = {file_n}")
+        n = file_n
     if n is None:
-        raise InputError("--n is required with a hex source")
-    return TruthTable.from_hex(src, n)
+        raise InputError(f"--n is required with a {'hex' if kind == 'tt' else 'anf'} source")
+    return table_from_anf(text, n) if kind == "anf" else TruthTable.from_hex(text, n)
+
+
+def _source(args) -> str:
+    """The source that exactly one of --tt X, --anf E and --file F names: X, anf:E or @F."""
+    given = [p + v for p, v in (("", args.tt), ("anf:", args.anf), ("@", args.file)) if v is not None]
+    if len(given) != 1:
+        raise InputError("exactly one of --tt, --anf, --file is required")
+    if args.tt is not None and args.tt.startswith(("anf:", "@")):
+        raise InputError(f"--tt {args.tt!r} is not a hex truth table")
+    return given[0]
 
 
 def _add_function_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tt", help="truth table as lowercase hex, 2^n/4 digits")
     p.add_argument("--anf", help="algebraic normal form, e.g. 'X4X3 + X5X2'")
     p.add_argument("--file", help="JSON file with fields n and tt (hex) or anf")
-    p.add_argument("--n", type=int, help="variable count for --tt/--anf")
+    p.add_argument("--n", type=int, help="variable count for --tt/--anf; with --file, the file's n")
 
 
 def _cmd_analyze(args) -> int:
-    f = _function_from_args(args)
+    f = _read_function(_source(args), args.n)
     rep = classify(walsh_transform(f))
     if args.format == "csv":
         sys.stdout.write(report.metrics_to_csv(rep))
@@ -79,13 +78,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    f = _function_from_args(args)
+    f = _read_function(_source(args), args.n)
     sys.stdout.write(report.spectrum_to_csv(walsh_transform(f)))
     return 0
 
 
 def _cmd_construct(args) -> int:
-    g = _function_from_source(args.g, args.n)
+    g = _read_function(args.g, args.n)
     if args.construction == "ot":
         rep = construct.ot_recursion_metrics(g, args.m)
         print(report.analytic_to_json(rep))
@@ -179,12 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="construction", required=True)
     po = csub.add_parser("ot", help="iterated disjoint self-composition metrics")
     po.add_argument("--g", required=True, help="seed: hex, 'anf:EXPR', or '@file.json'")
-    po.add_argument("--n", type=int, help="seed variable count (hex/anf sources)")
+    po.add_argument("--n", type=int, help="seed variable count (hex/anf sources; with @file, the file's n)")
     po.add_argument("--m", type=int, required=True, help="iteration count (m=0 is the seed)")
     po.set_defaults(fn=_cmd_construct)
     pp = csub.add_parser("palindrome", help="single-variable palindromic extension")
     pp.add_argument("--g", required=True, help="seed: hex, 'anf:EXPR', or '@file.json'")
-    pp.add_argument("--n", type=int, help="seed variable count (hex/anf sources)")
+    pp.add_argument("--n", type=int, help="seed variable count (hex/anf sources; with @file, the file's n)")
     pp.add_argument("--b", type=int, choices=(0, 1), required=True)
     pp.add_argument(
         "--big",
@@ -222,10 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, AnfParseError, DenseCapExceeded, search.SweepBoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # every input error of walshlab is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -381,7 +381,14 @@ def reverse(f: TruthTable) -> TruthTable:
 
 # --- Algebraic normal form ---------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<var>[Xx](?P<idx>\d+))|(?P<one>1)|(?P<op>[+^⊕])|(?P<mul>[*·]))")
+_VAR = re.compile(r"[Xx]([0-9]+)")
+# One monomial: "1", or variables joined by '*', '·' or nothing
+_TERM = re.compile(r"\s*(?:(1)|[Xx][0-9]+(?:\s*(?:[*·]\s*)?[Xx][0-9]+)*)")
+# What follows a monomial: an xor operator, or the end of the text
+_NEXT = re.compile(r"\s*(?:([+^⊕])|\Z)")
+# The text a failed match may still skip before its first offending character:
+# at the start of a monomial, after a variable, and after "1"
+_LEAD, _AFTER_VAR, _AFTER_ONE = map(re.compile, (r"\s*[Xx]?", r"\s*(?:[*·]\s*)?[Xx]?", r"\s*"))
 
 
 class AnfParseError(ValueError):
@@ -412,45 +419,36 @@ class AnfExpression:
 
 
 def parse_anf(text: str, n: int) -> AnfExpression:
-    """Parse ``X4X3 + X5X2`` style expressions (also ``^``, ``*``, lowercase)."""
-    terms: list[frozenset[int]] = []
-    current: set[int] | None = None
-    saw_one = False
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise AnfParseError(f"unexpected character {text[bad]!r}", bad)
-        if m.group("op"):
-            if current is None and not saw_one:
-                raise AnfParseError("monomial expected before '+'", pos)
-            if current is not None:
-                terms.append(frozenset(current))
-            current, saw_one = None, False
-        elif m.group("one"):
-            if current:
-                raise AnfParseError("constant 1 inside a monomial", pos)
-            terms.append(frozenset())
-            saw_one = True
-        elif m.group("var"):
-            idx = int(m.group("idx"))
-            if current is None:
-                current = set()
-            current.add(idx)
-        pos = m.end()
-    if current is not None:
-        terms.append(frozenset(current))
-    elif not saw_one and not terms:
-        raise AnfParseError("empty expression", pos)
-    # XOR semantics: repeated monomials cancel pairwise
+    """Parse an XOR of monomials such as ``X4X3 + X5X2`` by the grammar
+
+        expr := term (xor term)*        xor := "+" | "^" | "⊕"
+        term := "1" | var (mul? var)*   mul := "*" | "·"
+        var  := [Xx][0-9]+
+
+    with whitespace allowed between tokens. ``X_j`` is variable j; a repeated
+    variable in a monomial counts once, and repeated monomials cancel pairwise.
+    Any other text raises AnfParseError at its first offending character, or
+    at the end of the text; a variable outside 1..n raises ValueError.
+    """
     acc: set[frozenset[int]] = set()
-    for t in terms:
-        acc.symmetric_difference_update({t})
-    return AnfExpression(n, frozenset(acc))
+    pos = 0
+    while True:
+        term = _TERM.match(text, pos)
+        if term is None:
+            raise _unexpected(text, _LEAD, pos)
+        acc ^= {frozenset(map(int, _VAR.findall(term.group())))}
+        nxt = _NEXT.match(text, term.end())
+        if nxt is None:
+            raise _unexpected(text, _AFTER_ONE if term.group(1) else _AFTER_VAR, term.end())
+        if nxt.group(1) is None:
+            return AnfExpression(n, frozenset(acc))
+        pos = nxt.end()
+
+
+def _unexpected(text: str, skip: re.Pattern, pos: int) -> AnfParseError:
+    """The error at the first character after what ``skip`` matches at ``pos``."""
+    bad = skip.match(text, pos).end()
+    return AnfParseError(f"unexpected {text[bad]!r}" if bad < len(text) else "unexpected end of text", bad)
 
 
 def from_anf(expr: AnfExpression) -> TruthTable:

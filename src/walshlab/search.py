@@ -9,14 +9,17 @@ One kernel type (``_Kernel``) serves all three families and one loop scans
 them. A kernel row holds a function's correlations, one column per class of
 spectral points on which every function of the family agrees: single points
 for the general family, input orbits (weight classes, necklaces) for the
-structured ones. The largest squared correlation, the influence (c^2 dotted
-with the columns' sizes times weights), every filter and the float ratios
-are read from those columns, weighted by their sizes; no function is ever
-transformed alone. With the orbit-class matrix M (the Hadamard matrix for
-general functions), a row is a signed sum over the K id bits: c(rep_p) = sum
-over classes o of (-1)^(bit o) * M[o, p]. Two tables hold the sums over the
-low K // 2 bits and over the rest, so a row is lo[low bits] + hi[high bits];
-for general functions they are [T | T] and [T | -T], T the half spectra.
+structured ones. One cached, read-only map (``_classes``) gives each input's
+class and each class's smallest input; the kernels, ``necklaces``, both
+``expand`` methods and ``expand_witness`` are built from it. The largest
+squared correlation, the influence (c^2 dotted with the columns' sizes times
+weights), every filter and the float ratios are read from those columns,
+weighted by their sizes; no function is ever transformed alone. With the
+orbit-class matrix M (the Hadamard matrix for general functions), a row is a
+signed sum over the K id bits: c(rep_p) = sum over classes o of
+(-1)^(bit o) * M[o, p]. Two tables hold the sums over the low K // 2 bits and
+over the rest, so a row is lo[low bits] + hi[high bits]; for general
+functions they are [T | T] and [T | -T], T the half spectra.
 
 Every family is scanned one orbit of a symmetry group at a time. The group
 moves squared correlations only between points of equal weight (corr0 only
@@ -66,7 +69,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .core import TruthTable, _check_arity, _walsh_spectra, popcounts
+from .core import TruthTable, _check_arity, _walsh_spectra, check_dense, popcounts
 from .metrics import LogLinear, entropy_of_levels
 
 FAMILIES = ("general", "symmetric", "rotsym")
@@ -111,30 +114,50 @@ class CheckpointError(ValueError):
 
 
 @functools.cache
+def _classes(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The input classes of a family: each input's class index and each class's
+    smallest input, ascending, as cached read-only int64 arrays.
+
+    A class is one input (general functions), one weight (symmetric) or one
+    necklace, the orbit of cyclic rotations (rotation symmetric). The arity,
+    then the dense cap, is checked before the 2^n-entry map is built.
+    """
+    _check_arity(n)
+    check_dense(n)
+    if family == "general":
+        orbit = reps = np.arange(1 << n, dtype=np.int64)
+    elif family == "symmetric":
+        orbit, reps = popcounts(1 << n), (1 << np.arange(n + 1, dtype=np.int64)) - 1
+    else:
+        least = y = np.arange(1 << n, dtype=np.uint32)  # uint32 holds every n <= N_MAX
+        for _ in range(n):  # each rotation, not each input; the n-th gives y = x again
+            y = (y >> 1) | ((y & 1) << (n - 1))
+            np.minimum(least, y, out=least)
+        is_rep = least == y
+        orbit, reps = np.cumsum(is_rep)[least], np.flatnonzero(is_rep)
+        orbit -= 1  # the rank of each input's least rotation among the representatives
+    for a in (orbit, reps):
+        a.flags.writeable = False  # shared by every later caller
+    return orbit, reps
+
+
+@functools.cache
 def necklaces(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     """Cyclic-rotation orbit representatives of n-bit strings, ascending.
 
     Returns the representatives (each the smallest integer in its orbit,
     i.e. the lexicographically minimal rotation) and a read-only array
-    mapping every n-bit input to its orbit index. Both are cached: the loop
-    runs over all 2^n inputs.
+    mapping every n-bit input to its orbit index. Both are cached.
     """
-    _check_arity(n)
-    size = 1 << n
-    orbit = np.full(size, -1, dtype=np.int64)
-    reps: list[int] = []
-    mask = size - 1
-    for x in range(size):
-        if orbit[x] >= 0:
-            continue
-        rid = len(reps)
-        reps.append(x)
-        y = x
-        while orbit[y] < 0:
-            orbit[y] = rid
-            y = ((y >> 1) | ((y & 1) << (n - 1))) & mask
-    orbit.flags.writeable = False  # shared by every later caller
-    return tuple(reps), orbit
+    orbit, reps = _classes("rotsym", n)
+    return tuple(reps.tolist()), orbit
+
+
+def _expand(family: str, n: int, values: int) -> TruthTable:
+    """The table whose output on each input is bit (its class index) of ``values``."""
+    orbit, reps = _classes(family, n)
+    raw = np.frombuffer(values.to_bytes((reps.size + 7) // 8, "little"), dtype=np.uint8)
+    return TruthTable.from_array(np.unpackbits(raw, bitorder="little")[orbit], n)
 
 
 def necklace_count(n: int) -> int:
@@ -163,9 +186,7 @@ class SymmetricFunction:
             raise ValueError("value vector needs exactly n+1 bits")
 
     def expand(self) -> TruthTable:
-        wt = popcounts(1 << self.n)
-        vbits = np.array([(self.value_vector >> w) & 1 for w in range(self.n + 1)], dtype=np.uint8)
-        return TruthTable.from_array(vbits[wt], self.n)
+        return _expand("symmetric", self.n, self.value_vector)
 
 
 def and_function(n: int) -> SymmetricFunction:
@@ -189,11 +210,7 @@ class RotSymFunction:
             raise ValueError("necklace values need exactly one bit per necklace")
 
     def expand(self) -> TruthTable:
-        reps, orbit = necklaces(self.n)
-        vbits = np.array(
-            [(self.necklace_values >> r) & 1 for r in range(len(reps))], dtype=np.uint8
-        )
-        return TruthTable.from_array(vbits[orbit], self.n)
+        return _expand("rotsym", self.n, self.necklace_values)
 
 
 # --- Jobs and results ----------------------------------------------------------
@@ -324,9 +341,7 @@ class SearchResult:
 def expand_witness(job: SearchJob, func_id: int) -> TruthTable:
     if job.family == "general":
         return TruthTable(job.n, func_id)
-    if job.family == "symmetric":
-        return SymmetricFunction(job.n, func_id).expand()
-    return RotSymFunction(job.n, func_id).expand()
+    return _expand(job.family, job.n, func_id)
 
 
 # --- Exact metric keys ----------------------------------------------------------
@@ -407,9 +422,7 @@ class _Agg:
                 self.count, self.balanced, self.witnesses = 0, 0, []
         self.count += count
         self.balanced += balanced
-        cap = self.job.witness_cap
-        fresh = np.unique(np.asarray(witnesses, dtype=np.int64))[:cap].tolist()
-        self.witnesses = sorted(set(self.witnesses).union(fresh))[:cap]
+        self.witnesses = sorted(set(self.witnesses).union(witnesses))[: self.job.witness_cap]
 
     def update(self, ids, sizes, c2, m_arr, inf_arr, val, orbit_ids: Callable) -> None:
         """Fold in one batch of kernel rows.
@@ -433,9 +446,10 @@ class _Agg:
         if cand.size == 0:
             return
         keys, inverse = _keys(self.job, c2[cand], m_arr[cand], inf_arr[cand])
+        cap = self.job.witness_cap
         for j, key in enumerate(keys):
             rows = cand[inverse == j]
-            witnesses = orbit_ids(ids[rows]) if self.job.witness_cap else ()
+            witnesses = np.unique(orbit_ids(ids[rows]))[:cap].tolist() if cap else ()
             balanced = int(sizes[rows] @ (c2[rows, 0] == 0))
             self.add(key, int(ids[rows[0]]), int(sizes[rows].sum()), balanced, witnesses)
 
@@ -572,20 +586,15 @@ def _signed_sums(rows: np.ndarray, dtype: type) -> np.ndarray:
 
 @functools.cache
 def _kernel(family: str, n: int) -> _Kernel:
-    wt = popcounts(1 << n)
+    orbit, reps = _classes(family, n)
     # The group's input maps are x -> sigma(x) ^ t (sigma a variable permutation);
     # bit o of an image id takes the bit of the class that rep o is mapped to.
     if family == "general":
         # every point is a class; the maps act on the low half (X_n = 0), with every
         # permutation of X1..X_{n-1} and every translation
-        reps = orbit = np.arange(1 << n)
         points, shifts = reps[: 1 << (n - 1)], range(1 << (n - 1))
         sigmas = np.array(list(itertools.permutations(range(n - 1))), dtype=np.int64)
     else:
-        if family == "symmetric":
-            reps, orbit = np.array([(1 << w) - 1 for w in range(n + 1)]), wt
-        else:
-            reps, orbit = map(np.asarray, necklaces(n))
         # i -> k*i mod n for k coprime to n (these take rotations to rotations; every k
         # fixes the weight classes, so symmetric functions take k = 1 only), each with
         # and without input complement
@@ -602,7 +611,7 @@ def _kernel(family: str, n: int) -> _Kernel:
     split = reps.size // 2
     lo, hi = (_signed_sums(part, dtype) for part in (M[:split], M[split:]))
     sizes = np.bincount(orbit, minlength=reps.size).astype(dtype)
-    weights, orbits = wt[reps].astype(dtype), _id_orbits(maps)
+    weights, orbits = np.bitwise_count(reps).astype(dtype), _id_orbits(maps)
     space = 1 << reps.size
     return _Kernel(sizes, weights, sizes * weights, orbits, split, lo, hi, space, space >> orbits.bits)
 

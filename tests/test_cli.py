@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from walshlab.cli import main
-from walshlab.core import N_MAX
+from walshlab.core import N_MAX, table_from_anf
 from walshlab.metrics import LogLinear
 from walshlab.report import QUINTIC_MAX_ANF, QUINTIC_SEED_ANF
 
@@ -78,6 +80,70 @@ def test_analyze_parse_error_has_position(capsys):
     code, _, err = run_cli(capsys, "analyze", "--anf", "X1 + %", "--n", "2")
     assert code == 2
     assert "position 5" in err
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [(("--anf", "1*X1"), 1), (("--anf", "X1 ** X2"), 4), (("--tt", "anf:X1"), None), (("--tt", "@fn.json"), None)],
+    ids=["one-times", "double-star", "tt-anf", "tt-file"],
+)
+def test_analyze_rejects_malformed_sources(capsys, source, position):
+    # "1*X1" used to be read as 1 + X1; a --tt value is hex, never another kind of source
+    code, out, err = run_cli(capsys, "analyze", *source, "--n", "2")
+    assert (code, out) == (2, "")
+    assert f"position {position}" in err if position is not None else "not a hex truth table" in err
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        ({"n": 2, "tt": "8", "anf": "X1X2"}, [], "exactly one of the fields 'tt' and 'anf'"),
+        ({"n": 2}, [], "exactly one of the fields 'tt' and 'anf'"),
+        ({"n": 2, "anf": "X1X2"}, ["--n", "3"], "--n 3 disagrees with the file's n = 2"),
+    ],
+    ids=["both-fields", "no-field", "n-disagrees"],
+)
+def test_file_sources_are_strict(capsys, tmp_path, doc, argv, message):
+    # a file holding both fields used to be read as its tt, at the file's n whatever --n said
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(doc))
+    for command in (["analyze", "--file", str(path)], ["construct", "ot", "--g", f"@{path}", "--m", "0"]):
+        code, out, err = run_cli(capsys, *command, *argv)
+        assert (code, out) == (2, ""), command
+        assert message in err, command
+
+
+def test_every_source_form_reads_the_seed_alike(capsys, tmp_path):
+    hex_tt = table_from_anf(QUINTIC_SEED_ANF, 5).to_hex()
+    tt_file, anf_file = tmp_path / "tt.json", tmp_path / "anf.json"
+    tt_file.write_text(json.dumps({"n": 5, "tt": hex_tt}))
+    anf_file.write_text(json.dumps({"n": 5, "anf": QUINTIC_SEED_ANF}))
+    flags = [
+        ["--tt", hex_tt, "--n", "5"], ["--anf", QUINTIC_SEED_ANF, "--n", "5"],
+        ["--file", str(tt_file)], ["--file", str(anf_file)], ["--file", str(anf_file), "--n", "5"],
+    ]
+    sources = [f"@{tt_file}", f"@{anf_file}"]
+    g_forms = [["--g", hex_tt, "--n", "5"], ["--g", f"anf:{QUINTIC_SEED_ANF}", "--n", "5"]]
+    g_forms += [["--g", src] for src in sources] + [["--g", src, "--n", "5"] for src in sources]
+    for command, forms in ((["analyze"], flags), (["construct", "palindrome", "--b", "0"], g_forms)):
+        results = {run_cli(capsys, *command, *form)[:2] for form in forms}
+        assert len(results) == 1, command
+        code, out = results.pop()
+        assert code == 0 and json.loads(out)
+
+
+def test_readme_anf_examples_run(capsys):
+    # every ANF example in the README parses: the docs cannot drift from the grammar
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = [
+        (m.group(1), re.search(r"--n (\d+)", line).group(1))
+        for line in readme.splitlines()
+        for m in re.finditer(r'(?:--anf "|"anf:)([^"]*)"', line)
+    ]
+    assert len(examples) >= 3
+    for expr, n in examples:
+        code, _, err = run_cli(capsys, "analyze", "--anf", expr, "--n", n)
+        assert code == 0, (expr, err)
 
 
 @pytest.mark.parametrize("source", [("--tt", "6"), ("--anf", "1")], ids=["tt", "anf"])

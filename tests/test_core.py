@@ -136,15 +136,66 @@ def test_from_anf_quintic_witness_weight():
 
 
 def test_parse_anf_errors():
-    with pytest.raises(AnfParseError) as err:
-        parse_anf("X1 + @", 2)
-    assert err.value.position == 5
-    with pytest.raises(AnfParseError):
-        parse_anf("", 2)
-    with pytest.raises(AnfParseError):
-        parse_anf("+ X1", 2)
+    # each malformed text fails at its first offending character, or at its end
+    cases = {
+        "X1 + @": 5,
+        "": 0,
+        "   ": 3,
+        "+ X1": 0,
+        "1*X1X2": 1,  # "1" is a whole monomial, so no '*' may follow it
+        "1 X1": 2,
+        "1 1": 2,
+        "1X1": 1,
+        "X1 1": 3,
+        "X1 +": 4,
+        "X1*": 3,
+        "*X1": 0,
+        "X1 ** X2": 4,
+        "X1 + + X2": 5,
+        "X 1": 1,
+        "X1 * X": 6,
+        "X1X2 ⊕": 6,
+        "X1 ·· X2": 4,
+    }
+    for text, position in cases.items():
+        with pytest.raises(AnfParseError) as err:
+            parse_anf(text, 2)
+        assert err.value.position == position, text
+        assert f"(at position {position})" in str(err.value), text
     with pytest.raises(ValueError):
         parse_anf("X3", 2)
+    with pytest.raises(ValueError):
+        parse_anf("X0", 2)
+
+
+def test_parse_anf_random_well_formed():
+    # every operator spelling, both cases and any whitespace give the monomials
+    # that a direct evaluation of the written terms agrees with
+    rng = np.random.default_rng(23)
+    spaces = ("", " ", "  ", "\t", "\n ")
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        monos = [
+            [] if rng.random() < 0.15 else [int(j) for j in rng.integers(1, n + 1, rng.integers(1, 5))]
+            for _ in range(rng.integers(1, 7))
+        ]
+        terms = []
+        for mono in monos:
+            names = [f"{rng.choice(['X', 'x'])}{j}" for j in mono] or ["1"]
+            joins = [rng.choice(spaces) + rng.choice(["*", "·", ""]) + rng.choice(spaces) for _ in names[1:]]
+            terms.append(names[0] + "".join(join + name for join, name in zip(joins, names[1:])))
+        text = rng.choice(spaces) + terms[0]
+        for term in terms[1:]:
+            text += rng.choice(spaces) + rng.choice(["+", "^", "⊕"]) + rng.choice(spaces) + term
+        expected: set[frozenset[int]] = set()
+        for mono in monos:
+            expected ^= {frozenset(mono)}
+        assert parse_anf(text + rng.choice(spaces), n).monomials == expected, text
+        x = np.arange(1 << n)
+        direct = np.zeros(1 << n, dtype=np.uint8)
+        for mono in monos:
+            direct ^= np.all([(x >> (j - 1)) & 1 for j in mono], axis=0).astype(np.uint8)
+        assert table_from_anf(text, n) == TruthTable.from_array(direct, n), text
 
 
 def test_parse_anf_xor_symbols():

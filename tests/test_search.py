@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from walshlab.construct import ot_recursion_metrics
-from walshlab.core import N_MAX, TruthTable, popcounts, walsh_transform
+from walshlab.core import N_MAX, DenseCapExceeded, TruthTable, popcounts, walsh_transform
 from walshlab.metrics import LogLinear, classify
 from walshlab.report import run_verification_suite, search_result_canonical
 from walshlab.search import (
@@ -25,6 +25,7 @@ from walshlab.search import (
     SearchJob,
     SweepBoundError,
     SymmetricFunction,
+    _Agg,
     _function_key,
     _kernel,
     _ratio_key,
@@ -89,10 +90,10 @@ def test_rotsym_width_check_builds_no_table(monkeypatch):
     # the width check at n = 28 used to loop over 2^28 inputs into a 2 GiB orbit array
     import walshlab.search as search_module
 
-    def no_table(n):
-        raise AssertionError(f"necklaces({n}) called")
+    def no_table(*args):
+        raise AssertionError(f"class map {args} built")
 
-    monkeypatch.setattr(search_module, "necklaces", no_table)
+    monkeypatch.setattr(search_module, "_classes", no_table)  # necklaces reads it too
     count = necklace_count(28)
     start = time.perf_counter()
     assert RotSymFunction(28, 0).n == 28
@@ -148,6 +149,34 @@ def test_arity_below_one_rejected(make):
         with pytest.raises(ValueError, match=re.escape(f"arity must be in [1, {N_MAX}], got {n}")):
             make(n)
     make(1)
+
+
+@pytest.mark.parametrize("family, ns", [("symmetric", range(1, 9)), ("rotsym", range(1, 6))])
+def test_expand_matches_a_direct_reference(family, ns):
+    # each input takes the bit of its class: its weight, or the index of its least
+    # rotation among the ascending necklace representatives
+    make = SymmetricFunction if family == "symmetric" else RotSymFunction
+    for n in ns:
+        mask = (1 << n) - 1
+        least = [min(((x >> r) | (x << (n - r))) & mask for r in range(n)) for x in range(1 << n)]
+        key = [bin(x).count("1") for x in range(1 << n)] if family == "symmetric" else least
+        index = {k: i for i, k in enumerate(sorted(set(key)))}
+        for v in range(1 << len(index)):
+            expected = TruthTable(n, sum(((v >> index[key[x]]) & 1) << x for x in range(1 << n)))
+            assert make(n, v).expand() == expected, (n, v)
+            assert expand_witness(SearchJob(family, n), v) == expected, (n, v)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: SymmetricFunction(25, 0).expand(), lambda: RotSymFunction(25, 0).expand(), lambda: necklaces(25)],
+    ids=["symmetric", "rotsym", "necklaces"],
+)
+def test_class_maps_check_the_dense_cap(make):
+    # a symmetric expand at n = 25 used to build its 2^25-entry table above the cap
+    with pytest.raises(DenseCapExceeded) as err:
+        make()
+    assert err.value.n == 25
 
 
 def test_every_one_var_function_is_rotsym():
@@ -773,6 +802,16 @@ def test_checkpoint_bad_record_mid_file(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CheckpointError, match="record 0 fails its CRC check"):
         sweep(job, threads=1)
+
+
+def test_fold_sorts_and_dedupes_merged_witnesses():
+    # chunk outcomes reach the fold as recorded, and a record with a valid CRC may
+    # list its witnesses unsorted or repeated: the kept ids are still sorted and distinct
+    job = SearchJob("general", 3, "mei", target="count", threshold=Fraction(4, 3), witness_cap=3)
+    total = _Agg(job)
+    total.merge(_Agg(job, 8, count=5, witnesses=[9, 2, 9, 7]))
+    total.merge(_Agg(job, 8, count=2, witnesses=[2, 1]))
+    assert (total.scanned, total.count, total.witnesses) == (16, 7, [1, 2, 7])
 
 
 def test_checkpoint_duplicate_chunk_rejected(tmp_path):

@@ -205,13 +205,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help=f"checkpoint file to create or resume (relative paths under ${search.CHECKPOINT_DIR_ENV})",
     )
-    p.add_argument("--threads", type=_worker_count, default=None, help="worker processes (default: all cores)")
+    p.add_argument("--threads", type=_worker_count, default=None, help="worker threads (default: all cores)")
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("verify", help="run the claim-verification suite")
     p.add_argument("--scope", choices=("fast", "full"), default="fast")
-    p.add_argument("--threads", type=_worker_count, default=None, help="worker processes (default: all cores)")
-    p.add_argument("--claims", help="comma-separated claim ids to restrict to")
+    p.add_argument("--threads", type=_worker_count, default=None, help="worker threads (default: all cores)")
+    p.add_argument("--claims", help="comma-separated claim ids to run, whatever the scope")
     p.set_defaults(fn=_cmd_verify)
     return parser
 

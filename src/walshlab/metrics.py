@@ -10,8 +10,12 @@ summed over the distinct levels of |c|, each term times its multiplicity
 
 In lowest terms (as :meth:`LogLinear.of` builds them) equal values have
 equal fields, and ``compare`` orders unequal values exactly. ``value`` is the
-correctly rounded binary64 value, computed on first use. ``as_str`` writes
-the exact value and ``LogLinear.parse`` reads it back.
+correctly rounded binary64 value, computed on first use. Both read integer
+enclosures of 2^prec * ln p at doubling precision (``_ln_bounds``), built
+from the standard library's ``decimal``: its ln is correctly rounded, so the
+nearest integer to its scaled value, widened by one unit each way, always
+holds the true value. ``as_str`` writes the exact value and
+``LogLinear.parse`` reads it back.
 
 Every metric reads one pass over the spectrum (``_scan``). It reads blocks
 of ``core._CHUNK`` points (the whole spectrum up to n = 14) through one
@@ -30,6 +34,7 @@ level, in Python integers.
 """
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import re
@@ -208,14 +213,18 @@ def _start_prec(const: int, logs, den: int) -> int:
 
 @functools.lru_cache(maxsize=1 << 10)
 def _ln_bounds(p: int, prec: int) -> tuple[int, int]:
-    """Integers (lo, hi) with lo <= 2^prec * ln p <= hi, from directed-rounding logs."""
-    from mpmath.libmp import from_int, mpf_log, round_ceiling, round_floor  # loaded on first use
+    """Integers (lo, hi) with lo <= 2^prec * ln p <= hi, for an integer p >= 2.
 
-    _, man, exp, _ = mpf_log(from_int(p), prec + 8, round_floor)
-    lo = man << (exp + prec) if exp + prec >= 0 else man >> -(exp + prec)
-    _, man, exp, _ = mpf_log(from_int(p), prec + 8, round_ceiling)
-    hi = man << (exp + prec) if exp + prec >= 0 else -(-man >> -(exp + prec))
-    return lo, hi
+    ``decimal``'s ln is correctly rounded, so at d significant digits it is
+    within half a unit in its last place of ln p. ln p < 10^k for the k digits
+    of p's bit length, so that unit is at most 10^(k - d) <= 2^-prec here,
+    and the scaled value is within 1/2 of 2^prec * ln p. Rounded to the nearest
+    integer r, it is within 1, so r - 1 and r + 1 enclose it: a one-unit margin.
+    """
+    digits = prec // 3 + 1 + len(str(p.bit_length()))  # prec // 3 + 1 > prec * log10(2)
+    num, den = decimal.Context(prec=digits).ln(p).as_integer_ratio()
+    r = round(Fraction(num << prec, den))
+    return r - 1, r + 1
 
 
 def _enclose(const: int, logs, prec: int) -> tuple[int, int]:

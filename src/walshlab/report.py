@@ -10,8 +10,8 @@ unknown or mistyped field. Only a constant function's two ratios are null.
 ``CLAIMS`` is the one registry of the toolkit's headline numeric claims, in
 ledger order. ``run_verification_suite`` replays them at their own instance
 counts and returns a pass/fail ledger; the long-running n=5 sweep claims are
-skipped unless the full scope is requested. The acceptance tests run the same
-checks at larger counts and under time bounds.
+skipped unless the full scope is requested or they are named. The acceptance
+tests run the same checks at larger counts and under time bounds.
 """
 from __future__ import annotations
 
@@ -611,10 +611,10 @@ def run_verification_suite(
     """Replay the toolkit's numeric claims and collect a pass/fail ledger.
 
     ``fast`` runs everything except the four n=5 general-sweep claims, which
-    ``full`` adds. Each claim runs at its ledger ``count``. ``claim_ids``
-    restricts to a subset (still in ledger order) and raises ``ValueError``
-    naming any id that is not a claim; failures become entries, never
-    exceptions.
+    ``full`` adds; it marks them ``skipped``. Each claim runs at its ledger
+    ``count``. ``claim_ids`` selects a subset in place of ``scope`` (still in
+    ledger order): a named claim always runs. It raises ``ValueError`` naming
+    any id that is not a claim; failures become entries, never exceptions.
     """
     if scope not in ("fast", "full"):
         raise ValueError("scope must be 'fast' or 'full'")
@@ -629,7 +629,7 @@ def run_verification_suite(
     for claim in CLAIMS:
         if claim.id not in wanted:
             continue
-        if claim.scope == "long" and scope != "full":
+        if claim.scope == "long" and scope != "full" and claim_ids is None:
             entries.append(LedgerEntry(claim.id, claim.tag, claim.description, "", "", "skipped", 0.0))
             continue
         t0 = time.perf_counter()

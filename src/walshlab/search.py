@@ -47,9 +47,10 @@ largest. A key is the value ``metrics.classify`` reports, and a result's
 ``best_ratio`` is the key itself. Float ratios only pick candidate rows, one
 window per target, and one builder (``_keys``) gives the candidates keys.
 One rule, ``_Agg.add``, then decides every outcome on keys: of a batch, of a
-sweep's chunks (here or from workers) and of checkpoint records. So results
-are identical for every chunking, worker count and resume point. A count
-threshold is rational, so a row with an irrational ratio never counts.
+sweep's chunks (in the calling thread or on worker threads) and of checkpoint
+records. So results are identical for every chunking, worker count and resume
+point. A count threshold is rational, so a row with an irrational ratio never
+counts.
 """
 from __future__ import annotations
 
@@ -91,9 +92,13 @@ _BATCH_CELLS = 1 << 18  # kernel cells (rows x columns) per batch
 # not raise it and leave freed heap resident (peak RSS). A block holds at least
 # one high part, so the 768-element general group at n=5 takes 768 KiB blocks.
 _ORBIT_BLOCK_CELLS = 1 << 14
-# a sweep over fewer functions runs in-process whatever the worker count: below
-# this size, starting a worker pool costs more than the workers save
+# a sweep over fewer functions runs in this thread whatever the worker count:
+# below this size, handing chunks to worker threads costs more than they save
+# (rotation symmetric n=7 ei: 23-30 ms pooled against 12-20 ms here)
 _POOL_MIN_FUNCTIONS = 1 << 24
+# the most witnesses a job keeps: every symmetric id at n=16, as check_conjecture
+# keeps them; each checkpoint record holds this many 8-byte slots
+_WITNESS_CAP_MAX = 1 << 17
 
 CHECKPOINT_DIR_ENV = "WALSHLAB_CHECKPOINT_DIR"
 _CKPT_MAGIC = b"WLSWEEP1"
@@ -129,13 +134,17 @@ def _classes(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     elif family == "symmetric":
         orbit, reps = popcounts(1 << n), (1 << np.arange(n + 1, dtype=np.int64)) - 1
     else:
-        least = y = np.arange(1 << n, dtype=np.uint32)  # uint32 holds every n <= N_MAX
-        for _ in range(n):  # each rotation, not each input; the n-th gives y = x again
-            y = (y >> 1) | ((y & 1) << (n - 1))
+        y = np.arange(1 << n, dtype=np.uint32)  # uint32 holds every n <= N_MAX
+        least = y.copy()
+        for _ in range(n):  # each rotation, in place; the n-th gives y = x again
+            np.bitwise_or(y >> 1, (y & 1) << (n - 1), out=y)
             np.minimum(least, y, out=least)
         is_rep = least == y
-        orbit, reps = np.cumsum(is_rep)[least], np.flatnonzero(is_rep)
-        orbit -= 1  # the rank of each input's least rotation among the representatives
+        del y  # freed, as is_rep is, before the int64 rank and its gather: the peak, 21.5 bytes a point
+        reps, rank = np.flatnonzero(is_rep), np.cumsum(is_rep)
+        del is_rep
+        rank -= 1  # the rank of each least rotation among the representatives
+        orbit = rank[least]
     for a in (orbit, reps):
         a.flags.writeable = False  # shared by every later caller
     return orbit, reps
@@ -276,8 +285,8 @@ class SearchJob:
             raise ValueError(f"metric must be one of {METRICS}")
         if self.target not in ("maximize", "count"):
             raise ValueError("target must be 'maximize' or 'count'")
-        if self.target == "count" and self.threshold is None:
-            raise ValueError("count target needs a threshold")
+        if (self.target == "count") != (self.threshold is not None):
+            raise ValueError("a count target needs a threshold, and a maximize target takes none")
         thr = self.threshold
         if thr is not None and (isinstance(thr, bool) or not isinstance(thr, (int, Fraction))):
             raise ValueError(f"threshold must be an int or a Fraction, got {thr!r}")
@@ -287,8 +296,8 @@ class SearchJob:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if not 0 <= self.chunk_bits <= 16:
             raise ValueError("chunk_bits must be in [0, 16]")
-        if self.witness_cap < 0:
-            raise ValueError("witness cap must be >= 0")
+        if not 0 <= self.witness_cap <= _WITNESS_CAP_MAX:
+            raise ValueError(f"witness cap must be in [0, {_WITNESS_CAP_MAX}], got {self.witness_cap}")
         parsed = _parse_filters(self.filters)
         missing = sorted({"balanced", "weight1-max-walsh"}.difference(self.filters))
         if self.metric == "ot1-mei" and missing:
@@ -826,12 +835,15 @@ def _run_chunks(
         for i, units in pending.items():
             yield i, _run_chunk(job, *units)
         return
-    from concurrent.futures import ProcessPoolExecutor, as_completed  # only a pool needs it
+    from concurrent.futures import ThreadPoolExecutor, as_completed  # only a pool needs it
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
         futures = {pool.submit(_run_chunk, job, *units): i for i, units in pending.items()}
         for fut in as_completed(futures):
             yield futures[fut], fut.result()
+    finally:  # a stopped sweep starts no more chunks; it waits only for the running ones
+        pool.shutdown(cancel_futures=True)
 
 
 def sweep(
@@ -848,14 +860,19 @@ def sweep(
     module docstring); a row counts once per member of its orbit in
     ``functions_scanned``, ``witness_total`` and ``balanced_at_best``, and
     witnesses are the smallest ids over the whole orbits. ``threads`` is the
-    worker count (>= 1; ``None`` means one per core); a family with fewer
-    than 2^24 functions at the job's arity (everything but general n=5) is
-    swept in this process whatever the count. Each finished chunk gets one
-    synced checkpoint record and one ``progress`` call.
+    worker count (>= 1; ``None`` means one per core): chunks run on that many
+    threads of this process, which overlap because numpy releases the GIL in
+    a chunk's array work. A family with fewer than 2^24 functions at the
+    job's arity (everything but general n=5) is swept in the calling thread
+    whatever the count. Each finished chunk gets one synced checkpoint record
+    and one ``progress`` call. If either raises, or the sweep is interrupted,
+    no further chunk starts and the error propagates once the running ones
+    end; every chunk recorded so far resumes. Keys are compared exactly (see
+    ``metrics``), so no thread or chunk order can change a result.
     """
     check_threads(threads)
     t0 = time.perf_counter()
-    ranges = _chunk_ranges(job)  # builds the family's kernel before any worker forks
+    ranges = _chunk_ranges(job)  # builds the family's kernel once, before any worker starts
     done: dict[int, _Agg] = {}
     ckpt_fh = None
     if job.checkpoint_path is not None:
@@ -871,14 +888,16 @@ def sweep(
     pending = {i: units for i, units in enumerate(ranges) if i not in done}
     if threads is None:
         threads = os.cpu_count() or 1
+    chunks = _run_chunks(job, pending, threads)
     try:
-        for i, agg in _run_chunks(job, pending, threads):
+        for i, agg in chunks:
             done[i] = agg
             if ckpt_fh is not None:
                 _append_record(ckpt_fh, job, i, agg)
             if progress is not None:
                 progress(len(done), len(ranges))
     finally:
+        chunks.close()  # cancels the chunks not yet started
         if ckpt_fh is not None:
             ckpt_fh.close()
     return _finalize(job, done, time.perf_counter() - t0, resumed)

@@ -326,6 +326,19 @@ def test_threads_must_be_positive(capsys, command, threads):
     assert "--threads" in capsys.readouterr().err
 
 
+def test_search_witness_cap_is_bounded(capsys, tmp_path):
+    # each checkpoint record holds witness-cap 8-byte slots: 10^9 would be 8 GB a record
+    path = tmp_path / "capped.ck"
+    for cap in ("1000000000", "131073", "-1"):
+        code, out, err = run_cli(
+            capsys, "search", "general", "--n", "3", "--witness-cap", cap, "--resume", str(path),
+            "--threads", "1",
+        )
+        assert code == 2 and out == ""
+        assert "witness cap must be in [0, 131072]" in err
+    assert not path.exists()
+
+
 def test_search_ot1_mei_needs_its_filters(capsys):
     code, out, err = run_cli(
         capsys, "search", "general", "--n", "3", "--metric", "ot1-mei", "--filter", "balanced",
@@ -355,10 +368,24 @@ def test_verify_subset(capsys):
     assert "PASS" in err
 
 
-def test_verify_long_claim_skipped_in_fast(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--scope", "fast", "--claims", "c25-seed-family-count")
+def test_verify_long_claim_skipped_in_fast(capsys, monkeypatch):
+    from walshlab import report
+
+    # the fast scope's own selection: one fast claim and the four long ones
+    claims = [c for c in report.CLAIMS if c.id == "c17-parseval" or c.scope == "long"]
+    monkeypatch.setattr(report, "CLAIMS", claims)
+    code, out, _ = run_cli(capsys, "verify", "--scope", "fast")
     assert code == 0
-    assert json.loads(out)["entries"][0]["status"] == "skipped"
+    statuses = [(e["claim_id"][:3], e["status"]) for e in json.loads(out)["entries"]]
+    assert statuses == [("c17", "pass")] + [(c, "skipped") for c in ("c24", "c25", "c26", "c27")]
+
+
+def test_verify_named_long_claim_runs(capsys):
+    # a named claim runs whatever the scope; it was skipped, and the ledger still passed
+    code, out, _ = run_cli(capsys, "verify", "--claims", "c25-seed-family-count")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] is True
+    assert [(e["claim_id"], e["status"]) for e in doc["entries"]] == [("c25-seed-family-count", "pass")]
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from walshlab.metrics import (
     LogLinear,
     MetricsReport,
     SpectrumError,
+    _ln_bounds,
     classify,
     entropy,
     influence_probe,
@@ -472,6 +473,15 @@ def test_ratio_helper():
 def _mp_value(k: LogLinear):
     with mpmath.workprec(400):
         return (k.const + sum(e * mpmath.log(p, 2) for p, e in k.logs)) / k.den
+
+
+def test_ln_bounds_enclose_the_log():
+    # decimal's correctly rounded ln, scaled and rounded, widened by one unit each way
+    for p in (2, 3, 5, 7, 31, 257, 65521, 4294967291, 10**40 + 121):
+        for prec in (1, 2, 7, 64, 65, 100, 128, 333, 1024, 4096):
+            lo, hi = _ln_bounds(p, prec)
+            with mpmath.workprec(prec + 256):
+                assert lo < mpmath.log(p) * mpmath.mpf(2) ** prec < hi and hi - lo == 2, (p, prec)
 
 
 def test_log_linear_lowest_terms():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -275,11 +276,19 @@ def test_suite_is_idempotent():
     assert strip(a) == strip(b)
 
 
-def test_suite_skips_long_claims_in_fast_scope():
-    ledger = run_verification_suite(scope="fast", claim_ids=["c24-general-n5-max"])
-    assert len(ledger.entries) == 1
-    assert ledger.entries[0].status == "skipped"
+def test_suite_skips_long_claims_in_fast_scope(monkeypatch):
+    # the scope chooses the claims only when none are named; a named claim always runs
+    long = [dataclasses.replace(c, check=lambda ctx, count: ("1", "1", True)) for c in report.CLAIMS
+            if c.scope == "long"]
+    monkeypatch.setattr(report, "CLAIMS", [c for c in report.CLAIMS if c.id == "c17-parseval"] + long)
+    ledger = run_verification_suite(scope="fast")
+    assert [(e.claim_id, e.status) for e in ledger.entries] == [("c17-parseval", "pass")] + [
+        (c, "skipped") for c in ("c24-general-n5-max", "c25-seed-family-count",
+                                 "c26-seed-family-step1", "c27-seed-family-thirty-var")
+    ]
     assert ledger.passed  # skipped entries do not fail the suite
+    named = run_verification_suite(scope="fast", claim_ids=["c24-general-n5-max"])
+    assert [(e.claim_id, e.status) for e in named.entries] == [("c24-general-n5-max", "pass")]
 
 
 def test_suite_empty_scope():

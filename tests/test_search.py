@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import time
 import zlib
 from fractions import Fraction
@@ -17,6 +18,7 @@ from walshlab.construct import ot_recursion_metrics
 from walshlab.core import N_MAX, DenseCapExceeded, TruthTable, popcounts, walsh_transform
 from walshlab.metrics import LogLinear, classify
 from walshlab.report import run_verification_suite, search_result_canonical
+from conftest import traced_peak
 from walshlab.search import (
     _CKPT_HEADER,
     CheckpointError,
@@ -26,6 +28,7 @@ from walshlab.search import (
     SweepBoundError,
     SymmetricFunction,
     _Agg,
+    _classes,
     _function_key,
     _kernel,
     _ratio_key,
@@ -84,6 +87,31 @@ def test_necklaces_are_cached_and_read_only():
     assert necklaces(6)[1] is orbit
     with pytest.raises(ValueError):
         orbit[0] = 1
+
+
+def _least_rotation_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each input's necklace index and each necklace's least member, from every rotation."""
+    x = np.arange(1 << n, dtype=np.int64)
+    least = x.copy()
+    for k in range(1, n):
+        np.minimum(least, ((x >> k) | (x << (n - k))) & ((1 << n) - 1), out=least)
+    reps = np.unique(least)
+    return np.searchsorted(reps, least), reps
+
+
+def test_rotsym_class_map_matches_every_rotation():
+    for n in range(1, 21):
+        got = _classes.__wrapped__("rotsym", n)  # uncached: the suite keeps no 2^20-entry maps
+        for a, want in zip(got, _least_rotation_classes(n)):
+            assert a.dtype == np.int64 and not a.flags.writeable
+            assert np.array_equal(a, want), n
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_rotsym_class_map_memory(n):
+    # rotations in place, freed with the representative mask before the int64 rank
+    # and its gather: 25-26 bytes a point before
+    assert traced_peak(_classes.__wrapped__, "rotsym", n) <= 22 << n
 
 
 def test_rotsym_width_check_builds_no_table(monkeypatch):
@@ -357,6 +385,13 @@ def test_job_validation():
         SearchJob("general", 3, metric="nope")
     with pytest.raises(ValueError):
         SearchJob("general", 3, target="count")  # needs a threshold
+    with pytest.raises(ValueError, match="a maximize target takes none"):
+        SearchJob("general", 3, threshold=Fraction(4, 3))  # would change the digest, not the sweep
+    # a checkpoint record holds witness_cap 8-byte slots; 2^17 is every symmetric id at n=16
+    assert SearchJob("general", 3, witness_cap=1 << 17).witness_cap == 1 << 17
+    for cap in (-1, (1 << 17) + 1, 10**9):
+        with pytest.raises(ValueError, match=r"witness cap must be in \[0, 131072\]"):
+            SearchJob("general", 3, witness_cap=cap)
     with pytest.raises(ValueError):
         SearchJob("general", 3, filters=("shiny",))
     # strict parsing: equal filter sets must have one spelling, hence one digest
@@ -682,20 +717,119 @@ def test_small_sweeps_run_in_process(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started for a small sweep")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     job = SearchJob("rotsym", 7, metric="mei")
     two = search_result_canonical(sweep(job, threads=2))
     assert two == search_result_canonical(sweep(job, threads=1))
 
 
-def test_import_loads_no_pool_or_mpmath():
-    # both load on first use: a worker pool only for a large sweep, mpmath only
-    # for the float of an irrational key
-    code = "import sys, walshlab; print([m for m in ('mpmath', 'concurrent.futures.process') if m in sys.modules])"
+def test_imports_are_numpy_and_the_standard_library():
+    import ast
+
+    tomllib = pytest.importorskip("tomllib")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src", "walshlab")
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):  # the imports inside functions too
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                tops = ["walshlab" if node.level else node.module.split(".")[0]]
+            else:
+                continue
+            for top in tops:
+                allowed = top in ("numpy", "walshlab") or top in sys.stdlib_module_names
+                assert allowed and top != "multiprocessing", f"{name}:{node.lineno} imports {top}"
+    with open(os.path.join(src, os.pardir, os.pardir, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == ["numpy>=2.0"]
+    assert any(req.startswith("mpmath") for req in project["optional-dependencies"]["test"])
+
+
+def test_pooled_sweeps_load_no_mpmath_or_multiprocessing():
+    # worker threads and decimal log bounds: a pooled sweep and the rotsym ei claims,
+    # which compare irrational keys, need nothing beyond numpy and the standard library
+    code = """if True:
+        import sys
+        from walshlab import report, search
+        search._POOL_MIN_FUNCTIONS = 0
+        job = search.SearchJob("general", 4, "ei", chunk_bits=3)
+        pooled, alone = (report.search_result_canonical(search.sweep(job, threads=t)) for t in (2, 1))
+        ledger = report.run_verification_suite(threads=2, claim_ids=["c18-rotsym-n6-ei", "c20-rotsym-n7-ei"])
+        print(pooled == alone, ledger.passed, [m for m in ("mpmath", "multiprocessing") if m in sys.modules])
+    """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "True True []"
+
+
+def test_worker_threads_share_the_key_caches(monkeypatch):
+    # more threads than cores and a short switch interval, from empty caches: every
+    # chunk builds irrational keys and their log bounds while the others do
+    import walshlab.metrics as metrics_mod
+    import walshlab.search as search_mod
+
+    job = SearchJob("rotsym", 7, "ei", chunk_bits=6)
+    alone = search_result_canonical(sweep(job, threads=1))
+    monkeypatch.setattr(search_mod, "_POOL_MIN_FUNCTIONS", 0)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(2):
+            _ratio_key.cache_clear()
+            metrics_mod._ln_bounds.cache_clear()
+            assert search_result_canonical(sweep(job, threads=4)) == alone
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _slow_counted_chunks(monkeypatch) -> list[int]:
+    """Run every sweep on the pool, each chunk 50 ms slower; returns the first units of the chunks started."""
+    import walshlab.search as search_mod
+
+    monkeypatch.setattr(search_mod, "_POOL_MIN_FUNCTIONS", 0)
+    original, started = search_mod._run_chunk, []
+
+    def slow(job, first, last):
+        started.append(first)
+        time.sleep(0.05)
+        return original(job, first, last)
+
+    monkeypatch.setattr(search_mod, "_run_chunk", slow)
+    return started
+
+
+@pytest.mark.parametrize("fault", ["progress", "checkpoint-write"])
+def test_stopped_pooled_sweep_starts_no_more_chunks(tmp_path, monkeypatch, fault):
+    import walshlab.search as search_mod
+
+    plain = SearchJob("symmetric", 12, "ei")  # 64 chunks
+    job = dataclasses.replace(plain, checkpoint_path=str(tmp_path / "stop.ck"))
+    started = _slow_counted_chunks(monkeypatch)
+    progress, error = None, OSError("no space left")
+    if fault == "progress":
+        error = RuntimeError("progress callback failed")
+
+        def progress(done, total):
+            raise error
+    else:
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(search_mod, "_append_record", fail)
+    threads = set(threading.enumerate())
+    with pytest.raises(type(error)) as stopped:  # kept: its traceback holds the sweep's frame
+        sweep(job, threads=2, progress=progress)
+    assert stopped.value is error and 1 <= len(started) <= 2 * 2
+    assert set(threading.enumerate()) == threads  # the workers have ended, so no chunk starts later
+    monkeypatch.undo()
+    resumed = sweep(job, threads=1)
+    assert resumed.resumed_chunks == (1 if fault == "progress" else 0)
+    assert search_result_canonical(resumed) == search_result_canonical(sweep(plain, threads=1))
 
 
 def test_determinism_ei_metric():

@@ -140,7 +140,7 @@ def _classes(family: str, n: int) -> tuple[np.ndarray, np.ndarray]:
             np.bitwise_or(y >> 1, (y & 1) << (n - 1), out=y)
             np.minimum(least, y, out=least)
         is_rep = least == y
-        del y  # freed, as is_rep is, before the int64 rank and its gather: the peak, 21.5 bytes a point
+        del y  # freed, as is_rep is, before the int64 rank and its gather: the peak, about 21.5 bytes a point
         reps, rank = np.flatnonzero(is_rep), np.cumsum(is_rep)
         del is_rep
         rank -= 1  # the rank of each least rotation among the representatives
